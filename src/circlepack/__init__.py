@@ -8,44 +8,16 @@ radius adjustment. See the README for the command line interface.
 
 from .geometry import (
     FEASIBLE_ENERGY,
-    Energy,
     Layout,
     Rng,
-    container_depth,
     is_feasible,
     pair_depth,
     random_layout,
     total_energy,
 )
-from .neighbors import (
-    DEFAULT_CONTAINER_MARGIN,
-    DEFAULT_PAIR_MARGIN,
-    NeighborIndex,
-    build_index,
-    energy_gradient_full,
-    energy_gradient_local,
-    full_index,
-    index_energy,
-)
-from .optimizer import (
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_REFRESH_PERIOD,
-    GRADIENT_TOLERANCE,
-    BfgsState,
-    IterationRecord,
-    OptimizeOutcome,
-    OptimizeStatus,
-    bfgs_minimize,
-    line_search,
-    run_bounded,
-    update_inverse_hessian,
-)
+from .neighbors import energy_gradient_full
+from .optimizer import SolverConfig, bfgs_minimize
 from .search import (
-    HOP_ITERATION_RANGE,
-    RADIUS_RESOLUTION,
-    AdjustResult,
-    HopBatch,
-    SolveReport,
     SolveStatus,
     basin_hop,
     container_adjust,
@@ -55,68 +27,30 @@ from .search import (
 )
 from .layout_io import (
     BestKnownTable,
-    ImprovementRecord,
     LayoutDocument,
-    LayoutFormatError,
-    TableValidationError,
-    VerificationResult,
-    Violation,
-    format_decimal,
     load_best_known,
     load_improvements,
     read_best_known,
-    read_improvements,
     read_layout,
     verify_layout,
     write_layout,
 )
 from .rendering import render_svg
-from .bench import (
-    BenchRecord,
-    ModeTimingRecord,
-    RefreshRecord,
-    derive_seed,
-    run_hits,
-    run_mode_timing,
-    run_refresh_sweep,
-)
+from .bench import derive_seed, run_hits, run_mode_timing
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FEASIBLE_ENERGY",
-    "Energy",
     "Layout",
     "Rng",
-    "container_depth",
     "is_feasible",
     "pair_depth",
     "random_layout",
     "total_energy",
-    "DEFAULT_CONTAINER_MARGIN",
-    "DEFAULT_PAIR_MARGIN",
-    "NeighborIndex",
-    "build_index",
     "energy_gradient_full",
-    "energy_gradient_local",
-    "full_index",
-    "index_energy",
-    "DEFAULT_MAX_ITERATIONS",
-    "DEFAULT_REFRESH_PERIOD",
-    "GRADIENT_TOLERANCE",
-    "BfgsState",
-    "IterationRecord",
-    "OptimizeOutcome",
-    "OptimizeStatus",
+    "SolverConfig",
     "bfgs_minimize",
-    "line_search",
-    "run_bounded",
-    "update_inverse_hessian",
-    "HOP_ITERATION_RANGE",
-    "RADIUS_RESOLUTION",
-    "AdjustResult",
-    "HopBatch",
-    "SolveReport",
     "SolveStatus",
     "basin_hop",
     "container_adjust",
@@ -124,27 +58,15 @@ __all__ = [
     "minimize_radius",
     "shrink_factors",
     "BestKnownTable",
-    "ImprovementRecord",
     "LayoutDocument",
-    "LayoutFormatError",
-    "TableValidationError",
-    "VerificationResult",
-    "Violation",
-    "format_decimal",
     "load_best_known",
     "load_improvements",
     "read_best_known",
-    "read_improvements",
     "read_layout",
     "verify_layout",
     "write_layout",
-    "BenchRecord",
-    "ModeTimingRecord",
-    "RefreshRecord",
+    "render_svg",
     "derive_seed",
     "run_hits",
     "run_mode_timing",
-    "run_refresh_sweep",
-    "render_svg",
-    "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Benchmark harness: hit-count sweeps, mode timing, refresh-period sweeps.
+"""Benchmark harness: hit-count sweeps and timing sweeps over solver settings.
 
 Per-cell seeds derive from a base seed mixed with (n, repetition) so any
 cell can be rerun in isolation and reproduce exactly.  Mean times follow
@@ -9,23 +9,20 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .geometry import Rng, random_layout
 from .layout_io import BestKnownTable, format_decimal
-from .optimizer import DEFAULT_MAX_ITERATIONS, DEFAULT_REFRESH_PERIOD, bfgs_minimize
-from .neighbors import DEFAULT_CONTAINER_MARGIN, DEFAULT_PAIR_MARGIN
+from .optimizer import SolverConfig, bfgs_minimize
 from .search import SolveStatus, global_search
 
 _MASK64 = (1 << 64) - 1
 
 HITS_CSV_COLUMNS = ("n", "target_radius", "hits", "attempts", "mean_time_s")
-MODES_CSV_COLUMNS = ("mode", "n", "radius", "runs", "mean_time_s", "mean_iterations")
-REFRESH_CSV_COLUMNS = (
-    "refresh_period", "n", "radius", "runs", "mean_time_s", "mean_iterations",
-)
+# a timing table starts with the column of the setting its sweep varies
+TIMING_CSV_COLUMNS = ("n", "radius", "runs", "mean_time_s", "mean_iterations")
 
 
 def _mix64(z: int) -> int:
@@ -51,29 +48,36 @@ class BenchRecord:
     mean_time_s: float | None
     per_run_seeds: tuple[int, ...]
 
+    def csv_row(self) -> tuple:
+        mean = "" if self.mean_time_s is None else f"{self.mean_time_s:.6f}"
+        return (self.n, format_decimal(self.target_radius), self.hits, self.attempts, mean)
+
 
 @dataclass(frozen=True)
-class ModeTimingRecord:
-    """Mean time to a local minimum for one optimizer mode."""
+class TimingRecord:
+    """Mean time to a local minimum under one solver configuration."""
 
-    mode: str
+    config: SolverConfig
     n: int
     radius: float
     runs: int
     mean_time_s: float
     mean_iterations: float
 
+    @property
+    def mode(self) -> str:
+        return self.config.mode
 
-@dataclass(frozen=True)
-class RefreshRecord:
-    """Local-mode timing for one neighbor-list refresh period."""
-
-    refresh_period: int
-    n: int
-    radius: float
-    runs: int
-    mean_time_s: float
-    mean_iterations: float
+    def csv_row(self, setting: str) -> tuple:
+        """Row led by the value of ``setting``, the SolverConfig field swept."""
+        return (
+            getattr(self.config, setting),
+            self.n,
+            format_decimal(self.radius),
+            self.runs,
+            f"{self.mean_time_s:.6f}",
+            f"{self.mean_iterations:.2f}",
+        )
 
 
 def run_hits(
@@ -83,10 +87,7 @@ def run_hits(
     time_limit: float = 60.0,
     seed_base: int = 0,
     max_restarts: int | None = None,
-    mode: str = "local",
-    refresh_period: int = DEFAULT_REFRESH_PERIOD,
-    container_margin: float = DEFAULT_CONTAINER_MARGIN,
-    pair_margin: float = DEFAULT_PAIR_MARGIN,
+    config: SolverConfig = SolverConfig(),
     progress=None,
 ) -> list[BenchRecord]:
     """Repeat global_search at the target radius for each n.
@@ -101,15 +102,7 @@ def run_hits(
         times = []
         for seed in seeds:
             report = global_search(
-                n,
-                radius,
-                time_limit,
-                rng=Rng(seed),
-                max_restarts=max_restarts,
-                mode=mode,
-                refresh_period=refresh_period,
-                container_margin=container_margin,
-                pair_margin=pair_margin,
+                n, radius, time_limit, rng=Rng(seed), max_restarts=max_restarts, config=config
             )
             if report.status is SolveStatus.FEASIBLE:
                 hits += 1
@@ -128,95 +121,58 @@ def run_hits(
     return records
 
 
+def run_timing(
+    n: int,
+    radius: float,
+    configs: Sequence[SolverConfig],
+    runs: int = 10,
+    seed_base: int = 0,
+) -> list[TimingRecord]:
+    """Time optimization to a local minimum under each configuration.
+
+    Every configuration starts from the same ``runs`` random layouts.
+    """
+    starts = [
+        random_layout(n, radius, Rng(derive_seed(seed_base, n, rep)))
+        for rep in range(runs)
+    ]
+    records = []
+    for config in configs:
+        total = 0.0
+        iterations = 0
+        for layout in starts:
+            tick = time.monotonic()
+            outcome = bfgs_minimize(layout, **vars(config))
+            total += time.monotonic() - tick
+            iterations += outcome.iterations
+        records.append(
+            TimingRecord(
+                config=config,
+                n=n,
+                radius=radius,
+                runs=runs,
+                mean_time_s=total / runs,
+                mean_iterations=iterations / runs,
+            )
+        )
+    return records
+
+
 def run_mode_timing(
     n: int,
     radius: float,
     runs: int = 10,
     seed_base: int = 0,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    refresh_period: int = DEFAULT_REFRESH_PERIOD,
-    container_margin: float = DEFAULT_CONTAINER_MARGIN,
-    pair_margin: float = DEFAULT_PAIR_MARGIN,
-) -> list[ModeTimingRecord]:
+    config: SolverConfig = SolverConfig(),
+) -> list[TimingRecord]:
     """Time full-mode and local-mode optimization from identical starts."""
-    starts = [
-        random_layout(n, radius, Rng(derive_seed(seed_base, n, rep)))
-        for rep in range(runs)
-    ]
-    records = []
-    for opt_mode in ("full", "local"):
-        total = 0.0
-        iterations = 0
-        for layout in starts:
-            tick = time.monotonic()
-            outcome = bfgs_minimize(
-                layout,
-                max_iterations=max_iterations,
-                mode=opt_mode,
-                refresh_period=refresh_period,
-                container_margin=container_margin,
-                pair_margin=pair_margin,
-            )
-            total += time.monotonic() - tick
-            iterations += outcome.iterations
-        records.append(
-            ModeTimingRecord(
-                mode=opt_mode,
-                n=n,
-                radius=radius,
-                runs=runs,
-                mean_time_s=total / runs,
-                mean_iterations=iterations / runs,
-            )
-        )
-    return records
+    configs = [replace(config, mode=mode) for mode in ("full", "local")]
+    return run_timing(n, radius, configs, runs=runs, seed_base=seed_base)
 
 
-def run_refresh_sweep(
-    n: int,
-    radius: float,
-    periods: Sequence[int],
-    runs: int = 10,
-    seed_base: int = 0,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    container_margin: float = DEFAULT_CONTAINER_MARGIN,
-    pair_margin: float = DEFAULT_PAIR_MARGIN,
-) -> list[RefreshRecord]:
-    """Time local-mode optimization for each neighbor-refresh period."""
-    starts = [
-        random_layout(n, radius, Rng(derive_seed(seed_base, n, rep)))
-        for rep in range(runs)
-    ]
-    records = []
-    for period in periods:
-        total = 0.0
-        iterations = 0
-        for layout in starts:
-            tick = time.monotonic()
-            outcome = bfgs_minimize(
-                layout,
-                max_iterations=max_iterations,
-                mode="local",
-                refresh_period=period,
-                container_margin=container_margin,
-                pair_margin=pair_margin,
-            )
-            total += time.monotonic() - tick
-            iterations += outcome.iterations
-        records.append(
-            RefreshRecord(
-                refresh_period=period,
-                n=n,
-                radius=radius,
-                runs=runs,
-                mean_time_s=total / runs,
-                mean_iterations=iterations / runs,
-            )
-        )
-    return records
+def write_csv(destination, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as CSV to a path or an open text stream."""
 
-
-def _write_csv(destination, columns, rows) -> None:
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -227,50 +183,6 @@ def _write_csv(destination, columns, rows) -> None:
     else:
         with Path(destination).open("w", encoding="utf-8", newline="") as fh:
             emit(fh)
-
-
-def write_hits_csv(records: Iterable[BenchRecord], destination) -> None:
-    rows = [
-        (
-            record.n,
-            format_decimal(record.target_radius),
-            record.hits,
-            record.attempts,
-            "" if record.mean_time_s is None else f"{record.mean_time_s:.6f}",
-        )
-        for record in records
-    ]
-    _write_csv(destination, HITS_CSV_COLUMNS, rows)
-
-
-def write_modes_csv(records: Iterable[ModeTimingRecord], destination) -> None:
-    rows = [
-        (
-            record.mode,
-            record.n,
-            format_decimal(record.radius),
-            record.runs,
-            f"{record.mean_time_s:.6f}",
-            f"{record.mean_iterations:.2f}",
-        )
-        for record in records
-    ]
-    _write_csv(destination, MODES_CSV_COLUMNS, rows)
-
-
-def write_refresh_csv(records: Iterable[RefreshRecord], destination) -> None:
-    rows = [
-        (
-            record.refresh_period,
-            record.n,
-            format_decimal(record.radius),
-            record.runs,
-            f"{record.mean_time_s:.6f}",
-            f"{record.mean_iterations:.2f}",
-        )
-        for record in records
-    ]
-    _write_csv(destination, REFRESH_CSV_COLUMNS, rows)
 
 
 def format_hits_line(record: BenchRecord) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .geometry import Rng
@@ -24,6 +24,7 @@ from .layout_io import (
     verify_layout,
     write_layout,
 )
+from .optimizer import SolverConfig
 from .rendering import render_svg
 from .search import SolveStatus, global_search, minimize_radius
 from . import bench as bench_mod
@@ -55,12 +56,8 @@ class RunConfig:
     t0: float = 600.0
     t1: float = 3600.0
     max_restarts: int | None = None
-    mode: str = "local"
-    refresh_period: int = 10
-    container_margin: float = 1.0
-    pair_margin: float = 1.0
+    solver: SolverConfig = SolverConfig()
     reps: int = 10
-    tolerance: float = 1e-9
 
     def validate(self) -> "RunConfig":
         if self.n is not None and self.n < 1:
@@ -71,41 +68,24 @@ class RunConfig:
             raise UsageError("time limits must be positive")
         if self.max_restarts is not None and self.max_restarts < 1:
             raise UsageError("--max-restarts must be >= 1")
-        if self.mode not in ("full", "local"):
-            raise UsageError(f"--mode must be full or local, got {self.mode!r}")
-        if self.refresh_period < 1:
-            raise UsageError("--l must be >= 1")
-        if self.container_margin < 0.0 or self.pair_margin < 0.0:
-            raise UsageError("--d1 and --d2 must be >= 0")
         if self.reps < 1:
             raise UsageError("--reps must be >= 1")
-        if self.tolerance < 0.0:
-            raise UsageError("--tolerance must be >= 0")
         return self
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        values = {}
-        for name, attr in (
-            ("n", "n"),
-            ("radius", "radius"),
-            ("best_known", "best_known"),
-            ("seed", "seed"),
-            ("t0", "t0"),
-            ("t1", "t1"),
-            ("max_restarts", "max_restarts"),
-            ("mode", "mode"),
-            ("refresh_period", "l"),
-            ("container_margin", "d1"),
-            ("pair_margin", "d2"),
-            ("reps", "reps"),
-            ("tolerance", "tolerance"),
-        ):
-            if hasattr(args, attr) and getattr(args, attr) is not None:
-                values[name] = getattr(args, attr)
+        try:
+            solver = SolverConfig(args.mode, args.l, args.d1, args.d2)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        values = {
+            name: getattr(args, name)
+            for name in ("n", "radius", "best_known", "seed", "t0", "t1", "max_restarts", "reps")
+            if getattr(args, name, None) is not None
+        }
         if isinstance(values.get("n"), str):
             del values["n"]  # bench takes a range spec, parsed separately
-        return cls(**values).validate()
+        return cls(solver=solver, **values).validate()
 
 
 def _producer() -> str:
@@ -167,10 +147,7 @@ def cmd_solve(args) -> int:
         config.t0,
         rng=Rng(config.seed),
         max_restarts=config.max_restarts,
-        mode=config.mode,
-        refresh_period=config.refresh_period,
-        container_margin=config.container_margin,
-        pair_margin=config.pair_margin,
+        config=config.solver,
     )
     for line in _report_lines(report):
         print(line)
@@ -188,10 +165,7 @@ def cmd_improve(args) -> int:
         t1=config.t1,
         rng=Rng(config.seed),
         max_restarts=config.max_restarts,
-        mode=config.mode,
-        refresh_period=config.refresh_period,
-        container_margin=config.container_margin,
-        pair_margin=config.pair_margin,
+        config=config.solver,
     )
     print(f"start_radius={format_decimal(start_radius)}")
     for line in _report_lines(report):
@@ -264,14 +238,12 @@ def cmd_bench(args) -> int:
             time_limit=config.t0,
             seed_base=config.seed,
             max_restarts=config.max_restarts,
-            mode=config.mode,
-            refresh_period=config.refresh_period,
-            container_margin=config.container_margin,
-            pair_margin=config.pair_margin,
+            config=config.solver,
             progress=lambda record: print(bench_mod.format_hits_line(record)),
         )
         if args.out is not None:
-            bench_mod.write_hits_csv(records, args.out)
+            rows = [record.csv_row() for record in records]
+            bench_mod.write_csv(args.out, bench_mod.HITS_CSV_COLUMNS, rows)
             print(f"csv written to {args.out}")
         return EXIT_OK
 
@@ -288,42 +260,27 @@ def cmd_bench(args) -> int:
             raise UsageError(str(exc)) from None
 
     if args.experiment == "modes":
-        mode_records = bench_mod.run_mode_timing(
-            n,
-            radius,
-            runs=config.reps,
-            seed_base=config.seed,
-            refresh_period=config.refresh_period,
-            container_margin=config.container_margin,
-            pair_margin=config.pair_margin,
-        )
-        for record in mode_records:
-            print(
-                f"mode={record.mode:<5} n={record.n} mean_time={record.mean_time_s:.4f}s "
-                f"mean_iterations={record.mean_iterations:.1f}"
-            )
-        if args.out is not None:
-            bench_mod.write_modes_csv(mode_records, args.out)
-            print(f"csv written to {args.out}")
-        return EXIT_OK
-
-    periods = _parse_ns(args.periods)
-    refresh_records = bench_mod.run_refresh_sweep(
-        n,
-        radius,
-        periods,
-        runs=config.reps,
-        seed_base=config.seed,
-        container_margin=config.container_margin,
-        pair_margin=config.pair_margin,
-    )
-    for record in refresh_records:
+        setting = "mode"
+        records = bench_mod.run_mode_timing(n, radius, config.reps, config.seed, config.solver)
+    else:
+        setting = "refresh_period"
+        configs = [
+            replace(config.solver, mode="local", refresh_period=period)
+            for period in _parse_ns(args.periods)
+        ]
+        records = bench_mod.run_timing(n, radius, configs, config.reps, config.seed)
+    for record in records:
+        if setting == "mode":
+            lead = f"mode={record.mode:<5} n={record.n}"
+        else:
+            lead = f"l={record.config.refresh_period:<4d}"
         print(
-            f"l={record.refresh_period:<4d} mean_time={record.mean_time_s:.4f}s "
+            f"{lead} mean_time={record.mean_time_s:.4f}s "
             f"mean_iterations={record.mean_iterations:.1f}"
         )
     if args.out is not None:
-        bench_mod.write_refresh_csv(refresh_records, args.out)
+        rows = [record.csv_row(setting) for record in records]
+        bench_mod.write_csv(args.out, (setting, *bench_mod.TIMING_CSV_COLUMNS), rows)
         print(f"csv written to {args.out}")
     return EXIT_OK
 

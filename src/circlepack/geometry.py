@@ -73,9 +73,6 @@ class Layout:
     def with_radius(self, radius: float) -> "Layout":
         return Layout(self.centers, radius)
 
-    def with_centers(self, centers: np.ndarray) -> "Layout":
-        return Layout(centers, self.radius)
-
 
 @dataclass(frozen=True)
 class Energy:
@@ -109,34 +106,62 @@ def evaluate_pairs(
     pair_i: np.ndarray,
     pair_j: np.ndarray,
     container_ids: np.ndarray,
-) -> tuple[float, float, float]:
+    with_gradient: bool = False,
+):
     """Energy restricted to the given circle pairs and container candidates.
 
     Every listed pair contributes twice its squared depth (each member of the
     pair stores the same deformation); each listed container term contributes
     its squared depth once. Returns (total, max pair depth, max container
-    depth) over the listed terms only.
+    depth) over the listed terms only. With ``with_gradient`` the analytic
+    gradient of that total, shape (n, 2), comes back as a fourth item; it is
+    None when two centers of an overlapping listed pair coincide, since the
+    push direction between them is undefined.
     """
+    n = centers.shape[0]
+    grad = np.zeros((n, 2)) if with_gradient else None
     if pair_i.size:
         delta = centers[pair_i] - centers[pair_j]
         dist = np.hypot(delta[:, 0], delta[:, 1])
         pdepth = np.maximum(2.0 - dist, 0.0)
         # summing only the active depths keeps the accumulation order
         # independent of how many zero-depth terms the listing carries
-        d = pdepth[pdepth > 0.0]
+        active = pdepth > 0.0
+        d = pdepth[active]
         pair_term = 2.0 * float(np.dot(d, d))
         max_pair = float(pdepth.max())
+        if with_gradient and d.size:
+            if max_pair >= 2.0 and np.any(dist[active] == 0.0):
+                grad = None
+            else:
+                ii = pair_i[active]
+                jj = pair_j[active]
+                # each pair appears twice in the energy, hence the factor 4
+                coef = 4.0 * d / dist[active]
+                push = coef[:, None] * delta[active]
+                for axis in (0, 1):
+                    grad[:, axis] = np.bincount(jj, push[:, axis], minlength=n) - np.bincount(
+                        ii, push[:, axis], minlength=n
+                    )
     else:
         pair_term, max_pair = 0.0, 0.0
     if container_ids.size:
         pts = centers[container_ids]
         rad = np.hypot(pts[:, 0], pts[:, 1])
         cdepth = np.maximum(rad + 1.0 - radius, 0.0)
-        c = cdepth[cdepth > 0.0]
+        active = cdepth > 0.0
+        c = cdepth[active]
         cont_term = float(np.dot(c, c))
         max_cont = float(cdepth.max())
+        if grad is not None and c.size:
+            ids = container_ids[active]
+            # rad > 0 whenever the wall term is active, since radius > 0
+            coef = 2.0 * c / rad[active]
+            grad[ids] += coef[:, None] * centers[ids]
     else:
         cont_term, max_cont = 0.0, 0.0
+    if with_gradient:
+        return pair_term + cont_term, max_pair, max_cont, grad
     return pair_term + cont_term, max_pair, max_cont
 
 

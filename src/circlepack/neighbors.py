@@ -8,7 +8,7 @@ quadratic in n; the lists are rebuilt periodically by the optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,27 +39,6 @@ class NeighborIndex:
     container_margin: float
     pair_margin: float
     age: int = 0
-    _lists: list | None = field(default=None, repr=False)
-
-    @property
-    def lists(self) -> list[list[int]]:
-        """Per-circle neighbor ids (both directions of every pair)."""
-        if self._lists is None:
-            out: list[list[int]] = [[] for _ in range(self.n)]
-            for i, j in zip(self.pair_i.tolist(), self.pair_j.tolist()):
-                out[i].append(j)
-                out[j].append(i)
-            self._lists = out
-        return self._lists
-
-    @property
-    def container_adjacent(self) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.container_ids] = True
-        return mask
-
-    def total_list_length(self) -> int:
-        return 2 * int(self.pair_i.size)
 
 
 def build_index(
@@ -68,8 +47,9 @@ def build_index(
     pair_margin: float = DEFAULT_PAIR_MARGIN,
 ) -> NeighborIndex:
     """Scan all pairs and wall distances, listing those within the margins."""
-    if container_margin < 0 or pair_margin < 0:
-        raise ValueError("adjacency margins must be nonnegative")
+    from .optimizer import SolverConfig  # the optimizer imports this module
+
+    SolverConfig(container_margin=container_margin, pair_margin=pair_margin)
     return _build_index_raw(layout.centers, layout.radius, container_margin, pair_margin)
 
 
@@ -124,64 +104,20 @@ def gradient_eval(
     random direction and the evaluation reruns on the nudged copy, which is
     returned so callers can adopt it.
     """
-    pair_i, pair_j, cont = index.pair_i, index.pair_j, index.container_ids
-    n = centers.shape[0]
     while True:
-        if pair_i.size:
-            delta = centers[pair_i] - centers[pair_j]
-            dist = np.hypot(delta[:, 0], delta[:, 1])
-            pdepth = np.maximum(2.0 - dist, 0.0)
-            # active-only accumulation, matching geometry.evaluate_pairs
-            d = pdepth[pdepth > 0.0]
-            pair_term = 2.0 * float(np.dot(d, d))
-            max_pair = float(pdepth.max())
-        else:
-            delta = dist = pdepth = None
-            pair_term, max_pair = 0.0, 0.0
-        if cont.size:
-            pts = centers[cont]
-            rad = np.hypot(pts[:, 0], pts[:, 1])
-            cdepth = np.maximum(rad + 1.0 - radius, 0.0)
-            c = cdepth[cdepth > 0.0]
-            cont_term = float(np.dot(c, c))
-            max_cont = float(cdepth.max())
-        else:
-            rad = cdepth = None
-            cont_term, max_cont = 0.0, 0.0
-        total = pair_term + cont_term
-
-        if pdepth is not None and max_pair >= 2.0 and np.any(dist[pdepth > 0.0] == 0.0):
-            centers = _nudge_coincident(centers, pair_i, pair_j, dist, rng)
-            continue
-
-        grad = np.zeros((n, 2))
-        if pdepth is not None:
-            active = pdepth > 0.0
-            if np.any(active):
-                ii = pair_i[active]
-                jj = pair_j[active]
-                # each pair appears twice in the energy, hence the factor 4
-                coef = 4.0 * pdepth[active] / dist[active]
-                push = coef[:, None] * delta[active]
-                grad[:, 0] = np.bincount(jj, push[:, 0], minlength=n) - np.bincount(
-                    ii, push[:, 0], minlength=n
-                )
-                grad[:, 1] = np.bincount(jj, push[:, 1], minlength=n) - np.bincount(
-                    ii, push[:, 1], minlength=n
-                )
-        if cdepth is not None:
-            active = cdepth > 0.0
-            if np.any(active):
-                ids = cont[active]
-                # rad > 0 whenever the wall term is active, since radius > 0
-                coef = 2.0 * cdepth[active] / rad[active]
-                grad[ids] += coef[:, None] * centers[ids]
-        return total, max_pair, max_cont, grad, centers
+        total, max_pair, max_cont, grad = evaluate_pairs(
+            centers, radius, index.pair_i, index.pair_j, index.container_ids, with_gradient=True
+        )
+        if grad is not None:
+            return total, max_pair, max_cont, grad, centers
+        centers = _nudge_coincident(centers, index.pair_i, index.pair_j, rng)
 
 
-def _nudge_coincident(centers, pair_i, pair_j, dist, rng: Rng | None):
+def _nudge_coincident(centers, pair_i, pair_j, rng: Rng | None):
     if rng is None:
         rng = Rng(0)
+    delta = centers[pair_i] - centers[pair_j]
+    dist = np.hypot(delta[:, 0], delta[:, 1])
     out = centers.copy()
     for k in np.flatnonzero(dist == 0.0):
         angle = 2.0 * np.pi * rng.random()
@@ -197,11 +133,7 @@ def energy_gradient_full(layout: Layout, rng: Rng | None = None) -> tuple[Energy
     The gradient comes back flattened as (dU/dx1, dU/dy1, ..., dU/dxn,
     dU/dyn). Terms with zero depth contribute exactly zero.
     """
-    total, max_pair, max_cont, grad, _ = gradient_eval(
-        layout.centers, layout.radius, full_index(layout.n), rng
-    )
-    energy = Energy(total=total, max_pair_depth=max_pair, max_container_depth=max_cont)
-    return energy, grad.reshape(-1)
+    return energy_gradient_local(layout, full_index(layout.n), rng)
 
 
 def energy_gradient_local(

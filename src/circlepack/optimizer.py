@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -48,6 +48,35 @@ REFINE_CAP = 4.0
 # make real progress anymore and is cut off as ITERATION_LIMIT
 STALL_WINDOW = 100
 STALL_RELATIVE_DROP = 1e-12
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Descent settings shared by every layer that runs the optimizer.
+
+    ``mode`` is ``full`` (every pair and wall term) or ``local`` (neighbor
+    lists rebuilt every ``refresh_period`` accepted steps, listing pairs and
+    wall terms within ``pair_margin`` and ``container_margin``). The only
+    place these settings are validated.
+    """
+
+    mode: str = "local"
+    refresh_period: int = DEFAULT_REFRESH_PERIOD
+    container_margin: float = DEFAULT_CONTAINER_MARGIN
+    pair_margin: float = DEFAULT_PAIR_MARGIN
+
+    def __post_init__(self):
+        mode = str(self.mode).strip().lower()
+        if mode not in ("full", "local"):
+            raise ValueError(f"mode must be 'full' or 'local', got {self.mode!r}")
+        object.__setattr__(self, "mode", mode)
+        if self.refresh_period < 1:
+            raise ValueError(f"refresh_period must be >= 1, got {self.refresh_period}")
+        for name in ("container_margin", "pair_margin"):
+            value = getattr(self, name)
+            # written so that NaN fails too
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 class OptimizeStatus(enum.Enum):
@@ -209,19 +238,15 @@ def bfgs_minimize(
     With both margins infinite the index provably covers every term, so the
     local run follows the full-mode trajectory bit for bit.
     """
-    mode_key = str(mode).strip().lower()
-    if mode_key not in ("full", "local"):
-        raise ValueError(f"mode must be 'full' or 'local', got {mode!r}")
+    config = SolverConfig(mode, refresh_period, container_margin, pair_margin)
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-    if refresh_period < 1:
-        raise ValueError(f"refresh_period must be >= 1, got {refresh_period}")
     r = layout.radius if radius is None else float(radius)
     if not math.isfinite(r) or r <= 0.0:
         raise ValueError(f"container radius must be positive and finite, got {r}")
 
     n = layout.n
-    local = mode_key == "local"
+    local = config.mode == "local"
     if local:
         index = _build_index_raw(layout.centers, r, container_margin, pair_margin)
     else:
@@ -351,28 +376,20 @@ def run_bounded(
     radius: float,
     h: int,
     rng: Rng | None = None,
-    refresh_period: int = DEFAULT_REFRESH_PERIOD,
-    container_margin: float = DEFAULT_CONTAINER_MARGIN,
-    pair_margin: float = DEFAULT_PAIR_MARGIN,
+    config: SolverConfig = SolverConfig(),
 ) -> Layout:
     """Run at most ``h`` local-mode steps at ``radius`` and return the layout.
 
     No feasibility requirement: this is the short burst the hop strategies
     use to let a perturbed layout settle. ``h`` = 0 returns the input
-    coordinates untouched.
+    coordinates untouched. The settle runs in local mode whatever
+    ``config.mode`` says.
     """
     if h < 0:
         raise ValueError(f"iteration budget must be >= 0, got {h}")
     if h == 0:
         return layout.with_radius(radius)
     outcome = bfgs_minimize(
-        layout,
-        radius=radius,
-        max_iterations=h,
-        mode="local",
-        rng=rng,
-        refresh_period=refresh_period,
-        container_margin=container_margin,
-        pair_margin=pair_margin,
+        layout, radius=radius, max_iterations=h, rng=rng, **vars(replace(config, mode="local"))
     )
     return outcome.layout

@@ -12,19 +12,10 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .geometry import Layout, Rng, is_feasible, random_layout
-from .neighbors import DEFAULT_CONTAINER_MARGIN, DEFAULT_PAIR_MARGIN
-from .optimizer import (
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_REFRESH_PERIOD,
-    OptimizeStatus,
-    bfgs_minimize,
-    run_bounded,
-)
+from .optimizer import OptimizeStatus, SolverConfig, bfgs_minimize, run_bounded
 
 SHRINK_FACTOR_BASE = 0.3
 SHRINK_FACTOR_STEP = 0.035
@@ -87,42 +78,27 @@ def basin_hop(
     layout: Layout,
     radius: float | None = None,
     rng: Rng | None = None,
-    h_range: tuple[int, int] = HOP_ITERATION_RANGE,
-    refresh_period: int = DEFAULT_REFRESH_PERIOD,
-    container_margin: float = DEFAULT_CONTAINER_MARGIN,
-    pair_margin: float = DEFAULT_PAIR_MARGIN,
+    config: SolverConfig = SolverConfig(),
 ) -> HopBatch:
     """Perturb a stuck layout by briefly optimizing in shrunken containers.
 
     For each shrink factor the container radius is scaled down, the source
     coordinates are kept, and the local optimizer runs for a random number
-    of iterations drawn from ``h_range`` (inclusive). All twenty members
-    start from the same source layout; crowding everything toward the
-    center and letting it re-expand is what kicks the search out of the
+    of iterations drawn from HOP_ITERATION_RANGE (inclusive). All twenty
+    members start from the same source layout; crowding everything toward
+    the center and letting it re-expand is what kicks the search out of the
     current basin.
     """
     if rng is None:
         rng = Rng(0)
     source_radius = layout.radius if radius is None else float(radius)
-    lo, hi = int(h_range[0]), int(h_range[1])
-    if lo < 0 or hi < lo:
-        raise ValueError(f"h_range must satisfy 0 <= lo <= hi, got {h_range}")
+    lo, hi = HOP_ITERATION_RANGE
     betas = shrink_factors()
     members = []
     for beta in betas:
         shrunken = beta * source_radius
         h = int(rng.integers(lo, hi + 1))
-        members.append(
-            run_bounded(
-                layout,
-                shrunken,
-                h,
-                rng=rng,
-                refresh_period=refresh_period,
-                container_margin=container_margin,
-                pair_margin=pair_margin,
-            )
-        )
+        members.append(run_bounded(layout, shrunken, h, rng=rng, config=config))
     return HopBatch(layouts=tuple(members), betas=betas, source_radius=source_radius)
 
 
@@ -132,11 +108,7 @@ def global_search(
     time_limit: float,
     rng: Rng,
     max_restarts: int | None = None,
-    mode: str = "local",
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    refresh_period: int = DEFAULT_REFRESH_PERIOD,
-    container_margin: float = DEFAULT_CONTAINER_MARGIN,
-    pair_margin: float = DEFAULT_PAIR_MARGIN,
+    config: SolverConfig = SolverConfig(),
 ) -> SolveReport:
     """Search for a feasible packing of ``n`` unit circles at ``radius``.
 
@@ -174,16 +146,7 @@ def global_search(
         )
 
     def optimize(lay, at_radius=None):
-        return bfgs_minimize(
-            lay,
-            radius=at_radius,
-            max_iterations=max_iterations,
-            mode=mode,
-            rng=rng,
-            refresh_period=refresh_period,
-            container_margin=container_margin,
-            pair_margin=pair_margin,
-        )
+        return bfgs_minimize(lay, radius=at_radius, rng=rng, **vars(config))
 
     while time.monotonic() < deadline:
         if max_restarts is not None and restarts >= max_restarts:
@@ -197,13 +160,7 @@ def global_search(
             return report(SolveStatus.FEASIBLE, outcome.layout)
         if time.monotonic() >= deadline:
             break
-        batch = basin_hop(
-            outcome.layout,
-            rng=rng,
-            refresh_period=refresh_period,
-            container_margin=container_margin,
-            pair_margin=pair_margin,
-        )
+        batch = basin_hop(outcome.layout, rng=rng, config=config)
         hops += 1
         expired = False
         for member in batch.layouts:
@@ -241,10 +198,7 @@ def container_adjust(
     layout: Layout,
     radius: float | None = None,
     rng: Rng | None = None,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    refresh_period: int = DEFAULT_REFRESH_PERIOD,
-    container_margin: float = DEFAULT_CONTAINER_MARGIN,
-    pair_margin: float = DEFAULT_PAIR_MARGIN,
+    config: SolverConfig = SolverConfig(),
 ) -> AdjustResult:
     """Shrink a feasible layout's container to the smallest feasible radius.
 
@@ -253,7 +207,8 @@ def container_adjust(
     at every probe, until a probe comes out infeasible; then bisects the
     bracket down to RADIUS_RESOLUTION. The returned radius never exceeds the
     input radius and never goes below 1 (a single unit circle needs that
-    much container).
+    much container). Probes descend in local mode whatever ``config.mode``
+    says.
     """
     r_input = layout.radius if radius is None else float(radius)
     source = layout.with_radius(r_input)
@@ -261,20 +216,12 @@ def container_adjust(
         raise ValueError("container_adjust requires a feasible starting layout")
 
     probes = 0
+    settings = vars(replace(config, mode="local"))
 
     def reoptimize(at_radius):
         nonlocal probes
         probes += 1
-        return bfgs_minimize(
-            source,
-            radius=at_radius,
-            max_iterations=max_iterations,
-            mode="local",
-            rng=rng,
-            refresh_period=refresh_period,
-            container_margin=container_margin,
-            pair_margin=pair_margin,
-        )
+        return bfgs_minimize(source, radius=at_radius, rng=rng, **settings)
 
     r_upper = r_input
     best = source
@@ -317,11 +264,7 @@ def minimize_radius(
     t1: float = DEFAULT_TOTAL_SECONDS,
     rng: Rng | None = None,
     max_restarts: int | None = None,
-    mode: str = "local",
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    refresh_period: int = DEFAULT_REFRESH_PERIOD,
-    container_margin: float = DEFAULT_CONTAINER_MARGIN,
-    pair_margin: float = DEFAULT_PAIR_MARGIN,
+    config: SolverConfig = SolverConfig(),
 ) -> SolveReport:
     """Drive the search toward the smallest radius reachable before ``t1``.
 
@@ -342,14 +285,6 @@ def minimize_radius(
     if rng is None:
         rng = Rng(0)
 
-    search_opts = dict(
-        max_restarts=max_restarts,
-        mode=mode,
-        max_iterations=max_iterations,
-        refresh_period=refresh_period,
-        container_margin=container_margin,
-        pair_margin=pair_margin,
-    )
     start = time.monotonic()
     deadline = start + float(t1)
     r_current = float(start_radius)
@@ -375,7 +310,7 @@ def minimize_radius(
         budget = min(float(t0), deadline - time.monotonic())
         if budget <= 0.0:
             break
-        attempt = global_search(n, r_current, budget, rng, **search_opts)
+        attempt = global_search(n, r_current, budget, rng, max_restarts=max_restarts, config=config)
         restarts += attempt.restarts
         hops += attempt.hops
         if attempt.status is not SolveStatus.FEASIBLE:
@@ -384,14 +319,7 @@ def minimize_radius(
                 ran_out_of_restarts = True
                 break
             continue
-        adjusted = container_adjust(
-            attempt.layout,
-            rng=rng,
-            max_iterations=max_iterations,
-            refresh_period=refresh_period,
-            container_margin=container_margin,
-            pair_margin=pair_margin,
-        )
+        adjusted = container_adjust(attempt.layout, rng=rng, config=config)
         if best_radius is None or adjusted.radius < best_radius:
             best_layout, best_radius = adjusted.layout, adjusted.radius
         if r_current - adjusted.radius <= RADIUS_RESOLUTION:

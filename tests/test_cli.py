@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import circlepack as cp
-from circlepack.bench import derive_seed, run_hits, write_hits_csv
+from circlepack.bench import HITS_CSV_COLUMNS, derive_seed, run_hits, write_csv
 from circlepack.cli import (
     EXIT_BAD_FILE,
     EXIT_NO_SOLUTION,
@@ -56,6 +56,30 @@ def test_solve_usage_errors(capsys):
     assert main(["solve", "--n", "2", "--radius", "2", "--l", "0"]) == EXIT_USAGE
     assert main(["solve", "--n", "2", "--radius", "2", "--d1", "-1"]) == EXIT_USAGE
     assert main(["solve", "--n", "2", "--radius", "2", "--t0", "0"]) == EXIT_USAGE
+
+
+def test_solve_forwards_solver_flags(monkeypatch, capsys):
+    calls = []
+    real = cp.search.bfgs_minimize
+
+    def spy(layout, **kwargs):
+        calls.append(kwargs)
+        return real(layout, **kwargs)
+
+    monkeypatch.setattr(cp.search, "bfgs_minimize", spy)
+    # two circles cannot fit at R = 1.9, so only the restart budget ends the run
+    code = main([
+        "solve", "--n", "2", "--radius", "1.9", "--t0", "60", "--seed", "1",
+        "--mode", "full", "--l", "3", "--d1", "0.5", "--d2", "0.25", "--max-restarts", "1",
+    ])
+    assert code == EXIT_NO_SOLUTION
+    assert "restarts=1" in capsys.readouterr().out.splitlines()
+    assert sum(kwargs.get("radius") is None for kwargs in calls) == 1
+    for kwargs in calls:
+        assert kwargs["mode"] == "full"
+        assert kwargs["refresh_period"] == 3
+        assert kwargs["container_margin"] == 0.5
+        assert kwargs["pair_margin"] == 0.25
 
 
 def test_solve_missing_table_entry(table_csv):
@@ -182,6 +206,6 @@ def test_run_hits_mean_over_successes_only(tmp_path):
     assert records[0].hits == 0
     assert records[0].mean_time_s is None
     out = tmp_path / "zero.csv"
-    write_hits_csv(records, out)
+    write_csv(out, HITS_CSV_COLUMNS, [record.csv_row() for record in records])
     row = out.read_text(encoding="utf-8").splitlines()[1]
     assert row.endswith(",")

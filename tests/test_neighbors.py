@@ -48,6 +48,10 @@ def test_margin_validation():
         build_index(layout, container_margin=-0.5)
     with pytest.raises(ValueError):
         build_index(layout, pair_margin=-1.0)
+    with pytest.raises(ValueError):
+        build_index(layout, container_margin=math.nan)
+    with pytest.raises(ValueError):
+        build_index(layout, pair_margin=math.nan)
 
 
 def test_full_index_lists_everything():
@@ -61,11 +65,10 @@ def test_full_index_lists_everything():
 def test_adjacency_lists_are_symmetric():
     layout = dense_layout(18, 4)
     index = build_index(layout)
-    lists = index.lists
-    for i, j in zip(index.pair_i.tolist(), index.pair_j.tolist()):
-        assert j in lists[i]
-        assert i in lists[j]
-    assert index.total_list_length() == 2 * index.pair_i.size
+    pairs = list(zip(index.pair_i.tolist(), index.pair_j.tolist()))
+    # each unordered pair is listed once, as (i, j) with i < j
+    assert all(i < j for i, j in pairs)
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_index_energy_bitwise_equal_to_total_energy():

@@ -180,6 +180,24 @@ def test_bfgs_rejects_unknown_mode():
         bfgs_minimize(layout, mode="turbo")
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"container_margin": -3.0},
+        {"pair_margin": -1.5},
+        {"container_margin": math.nan},
+        {"pair_margin": math.nan},
+    ],
+    ids=["negative-container", "negative-pair", "nan-container", "nan-pair"],
+)
+def test_bfgs_rejects_bad_margins(setting):
+    # a negative or NaN margin lists too few terms (NaN lists none), so the
+    # descent would stop early and report a false GRADIENT_CONVERGED
+    layout = random_layout(20, 4.5, Rng(1))
+    with pytest.raises(ValueError):
+        bfgs_minimize(layout, **setting)
+
+
 def test_run_bounded_zero_iterations_only_swaps_radius():
     layout = random_layout(5, 3.0, Rng(2))
     result = run_bounded(layout, 2.5, 0)
