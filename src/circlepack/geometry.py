@@ -8,6 +8,7 @@ zero exactly on feasible layouts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,9 +96,17 @@ def pair_depth(a, b) -> float:
     return max(2.0 - d, 0.0)
 
 
+@functools.lru_cache(maxsize=16)
 def all_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) for every unordered pair, i < j lexicographic."""
-    return np.triu_indices(n, k=1)
+    """Index arrays (i, j) for every unordered pair, i < j lexicographic.
+
+    Cached for the 16 most recently used n and shared by every caller, so
+    both arrays are read-only.
+    """
+    pair_i, pair_j = np.triu_indices(n, k=1)
+    pair_i.setflags(write=False)
+    pair_j.setflags(write=False)
+    return pair_i, pair_j
 
 
 def evaluate_pairs(

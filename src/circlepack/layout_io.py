@@ -19,10 +19,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import FEASIBLE_ENERGY, Layout, total_energy
+from .geometry import FEASIBLE_ENERGY, Layout, all_pair_indices, total_energy
 
 DEFAULT_VERIFY_TOLERANCE = 1e-9
 MIN_SIGNIFICANT_DIGITS = 12
+
+# np.hypot and math.hypot may round a distance differently, by at most a
+# step of about 4e-16 near a gap of 2; a pair this far from touching by
+# np.hypot's count is still checked with math.hypot
+_PAIR_CANDIDATE_SLACK = 1e-9
 
 _HEADER_KEYS = ("n", "radius", "energy", "feasible", "seed", "producer")
 
@@ -390,7 +395,11 @@ def verify_layout(doc, tolerance: float = DEFAULT_VERIFY_TOLERANCE) -> Verificat
     """Re-check every pair and container constraint of a document or layout.
 
     All distances are recomputed from scratch; the verdict lists every
-    constraint whose overlap depth exceeds ``tolerance``.
+    constraint whose overlap depth exceeds ``tolerance``. Every wall term
+    is checked with ``math.hypot``. numpy picks the pairs less than
+    2 + 1e-9 apart, and only those are checked with ``math.hypot``, in
+    lexicographic order, so the verdict and every depth in it are the ones
+    a ``math.hypot`` scan of every pair would give.
     """
     if isinstance(doc, Layout):
         layout = doc
@@ -413,16 +422,18 @@ def verify_layout(doc, tolerance: float = DEFAULT_VERIFY_TOLERANCE) -> Verificat
             max_container = max(max_container, depth)
             if depth > tolerance:
                 violations.append(Violation("container", i, None, depth))
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            gap = math.hypot(
-                centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1]
-            )
-            depth = 2.0 - gap
-            if depth > 0.0:
-                max_pair = max(max_pair, depth)
-                if depth > tolerance:
-                    violations.append(Violation("pair", i, j, depth))
+    pair_i, pair_j = all_pair_indices(n)
+    delta = centers[pair_i] - centers[pair_j]
+    close = np.hypot(delta[:, 0], delta[:, 1]) < 2.0 + _PAIR_CANDIDATE_SLACK
+    for i, j in zip(pair_i[close].tolist(), pair_j[close].tolist()):
+        gap = math.hypot(
+            centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1]
+        )
+        depth = 2.0 - gap
+        if depth > 0.0:
+            max_pair = max(max_pair, depth)
+            if depth > tolerance:
+                violations.append(Violation("pair", i, j, depth))
     return VerificationResult(
         passed=not violations,
         violations=tuple(violations),

@@ -35,6 +35,11 @@ ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 50
 CURVATURE_FLOOR = 1e-12
 
+# the inverse-Hessian update works on blocks of rows of about this many
+# elements, so its two scratch buffers (256 KiB each) stay in cache; any
+# matrix up to 181 x 181 is one block
+_BLOCK_ELEMENTS = 32768
+
 # after Armijo acceptance the step is polished toward the 1-D minimizer by
 # fitting a quadratic through (0, u0, slope) and the accepted point; two
 # rounds with a 4x step cap are enough to keep descending where opposing
@@ -90,8 +95,12 @@ class BfgsState:
     """Mutable loop state: current iterate, gradient, inverse Hessian, count.
 
     ``iterate`` and ``gradient`` are flat 2n vectors ordered (x1, y1, ...,
-    xn, yn). ``inv_hessian`` stays exactly symmetric because every update
-    ends with an (M + M^T)/2 averaging. Confined to one solver run.
+    xn, yn). ``inv_hessian`` is one 2n x 2n array for the whole run: every
+    update and every steepest-descent restart overwrites it in place, so a
+    callback that keeps it sees it change. It starts as the identity and
+    stays exactly symmetric, since each update maps a symmetric matrix to a
+    symmetric one (see ``update_inverse_hessian``). Confined to one solver
+    run.
     """
 
     iterate: np.ndarray
@@ -191,11 +200,20 @@ def update_inverse_hessian(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.nd
     """Rank-two inverse-Hessian correction from step s and gradient change y.
 
     Equivalent to (I - s y^T/(y.s)) H (I - y s^T/(y.s)) + s s^T/(y.s) but
-    expanded so the cost stays at a few matrix-vector products and outer
-    products instead of dense matrix-matrix multiplies. When the curvature
-    y.s is not safely positive the update is skipped and ``h`` comes back
-    unchanged, which keeps the approximation positive definite. The result
-    is exactly symmetric by construction.
+    expanded so the cost stays at one matrix-vector product and a few
+    element-wise passes instead of dense matrix-matrix multiplies. ``h``
+    must be exactly symmetric; it is overwritten and returned. When the
+    curvature y.s is not safely positive the update is skipped and ``h``
+    comes back unchanged, which keeps the approximation positive definite.
+
+    Element (i, j) becomes h_ij - rho*(s_i*hy_j + hy_i*s_j) + scale*(s_i*s_j),
+    the IEEE operations of h - rho*(outer(s, hy) + outer(hy, s)) +
+    scale*outer(s, s) in the same order. Swapping i and j only swaps the
+    operands of a sum and of products, which commute exactly, so element
+    (j, i) gets the same bits: the result is exactly symmetric without any
+    averaging. Only the upper triangle is computed, a block of rows at a
+    time in two scratch buffers, and each block is mirrored below the
+    diagonal.
     """
     ys = float(np.dot(y, s))
     floor = CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
@@ -204,8 +222,30 @@ def update_inverse_hessian(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.nd
     rho = 1.0 / ys
     hy = h @ y
     scale = rho * rho * float(np.dot(y, hy)) + rho
-    out = h - rho * (np.outer(s, hy) + np.outer(hy, s)) + scale * np.outer(s, s)
-    return (out + out.T) / 2.0
+    m = h.shape[0]
+    rows = min(m, max(1, _BLOCK_ELEMENTS // m))
+    scratch = np.empty((2, rows * m))
+    for r0 in range(0, m, rows):
+        r1 = min(r0 + rows, m)
+        block = h[r0:r1, r0:]
+        a = scratch[0, : block.size].reshape(block.shape)
+        b = scratch[1, : block.size].reshape(block.shape)
+        np.multiply(s[r0:r1, None], hy[r0:], out=a)
+        np.multiply(hy[r0:r1, None], s[r0:], out=b)
+        np.add(a, b, out=a)
+        np.multiply(a, rho, out=a)
+        np.subtract(block, a, out=block)
+        np.multiply(s[r0:r1, None], s[r0:], out=a)
+        np.multiply(a, scale, out=a)
+        np.add(block, a, out=block)
+        if r1 < m:
+            h[r1:, r0:r1] = h[r0:r1, r1:].T
+    return h
+
+
+def _reset_to_identity(h: np.ndarray) -> None:
+    h.fill(0.0)
+    np.fill_diagonal(h, 1.0)
 
 
 def bfgs_minimize(
@@ -308,13 +348,13 @@ def bfgs_minimize(
         slope = float(np.dot(g, direction))
         restarted = False
         if slope >= 0.0:
-            state.inv_hessian = np.eye(2 * n)
+            _reset_to_identity(state.inv_hessian)
             direction = -g
             slope = -float(np.dot(g, g))
             restarted = True
         lam, accepted = _backtrack(_energy_at, x, direction, total, slope)
         if lam == 0.0 and not restarted:
-            state.inv_hessian = np.eye(2 * n)
+            _reset_to_identity(state.inv_hessian)
             direction = -g
             slope = -float(np.dot(g, g))
             restarted = True

@@ -99,6 +99,17 @@ def test_all_pair_indices():
     assert pairs == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
 
+def test_all_pair_indices_cached_and_read_only():
+    for n in (1, 2, 7, 30):
+        i, j = all_pair_indices(n)
+        want_i, want_j = np.triu_indices(n, k=1)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        assert all_pair_indices(n)[0] is i
+        for arr in (i, j):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
 def test_layout_validation():
     with pytest.raises(ValueError):
         Layout(np.zeros((0, 2)), 2.0)

@@ -10,6 +10,8 @@ import circlepack as cp
 from circlepack.layout_io import (
     LayoutFormatError,
     TableValidationError,
+    VerificationResult,
+    Violation,
     format_decimal,
     parse_document,
     serialize_document,
@@ -226,6 +228,74 @@ def test_verify_layout_structural_mismatch():
     )
     with pytest.raises(LayoutFormatError, match="claims n=3"):
         cp.verify_layout(doc)
+
+
+def verify_by_full_scan(layout, tolerance=1e-9):
+    """Reference: every wall term, then every pair i < j, with math.hypot."""
+    centers, radius, n = layout.centers, layout.radius, layout.n
+    violations = []
+    max_pair = 0.0
+    max_container = 0.0
+    for i in range(n):
+        depth = math.hypot(centers[i, 0], centers[i, 1]) + 1.0 - radius
+        if depth > 0.0:
+            max_container = max(max_container, depth)
+            if depth > tolerance:
+                violations.append(Violation("container", i, None, depth))
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            gap = math.hypot(centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1])
+            depth = 2.0 - gap
+            if depth > 0.0:
+                max_pair = max(max_pair, depth)
+                if depth > tolerance:
+                    violations.append(Violation("pair", i, j, depth))
+    return VerificationResult(not violations, tuple(violations), max_pair, max_container)
+
+
+def assert_same_verdict(got, want):
+    assert got == want
+    assert [v.depth.hex() for v in got.violations] == [v.depth.hex() for v in want.violations]
+    assert got.max_pair_depth.hex() == want.max_pair_depth.hex()
+    assert got.max_container_depth.hex() == want.max_container_depth.hex()
+
+
+TOLERANCES = st.sampled_from([0.0, 1e-12, 1e-9, 1e-3])
+
+
+@given(
+    n=st.integers(1, 30),
+    radius=st.floats(1.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+    tolerance=TOLERANCES,
+)
+@settings(max_examples=150, deadline=None)
+def test_verify_layout_matches_full_scan_on_random_layouts(n, radius, seed, tolerance):
+    layout = cp.random_layout(n, radius, cp.Rng(seed))
+    assert_same_verdict(cp.verify_layout(layout, tolerance), verify_by_full_scan(layout, tolerance))
+
+
+@given(
+    ring=st.floats(3.0, 40.0),
+    count=st.integers(2, 12),
+    nudges=st.lists(
+        st.sampled_from([0.0, 1e-16, -1e-16, 4e-16, -4e-16, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9]),
+        min_size=24,
+        max_size=24,
+    ),
+    tolerance=TOLERANCES,
+)
+@settings(max_examples=150, deadline=None)
+def test_verify_layout_matches_full_scan_near_contact(ring, count, nudges, tolerance):
+    # circles on a ring touching the wall, neighbours exactly 2 apart, each
+    # coordinate then nudged by at most a few 1e-9
+    step = 2.0 * math.asin(1.0 / ring)
+    count = min(count, int(2.0 * math.pi / step))
+    angles = step * np.arange(count)
+    centers = ring * np.column_stack((np.cos(angles), np.sin(angles)))
+    centers += np.array(nudges[: 2 * count]).reshape(count, 2)
+    layout = cp.Layout(centers, ring + 1.0)
+    assert_same_verdict(cp.verify_layout(layout, tolerance), verify_by_full_scan(layout, tolerance))
 
 
 def test_verify_agrees_with_is_feasible_on_solver_outputs():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import circlepack as cp
+from circlepack import optimizer, search
 from circlepack.geometry import (
     FEASIBLE_ENERGY,
     Layout,
@@ -74,6 +76,93 @@ def test_update_inverse_hessian_skips_flat_curvature():
     s = np.array([1.0, 0.0, 0.0, 0.0])
     y = np.zeros(4)  # no curvature information
     assert np.array_equal(update_inverse_hessian(h, s, y), h)
+
+
+def update_by_allocating_formula(h, s, y):
+    """Reference: the inverse-Hessian update as one allocating expression
+    followed by (M + M^T)/2 averaging. Returns a new array."""
+    ys = float(np.dot(y, s))
+    floor = 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
+    if ys <= floor:
+        return h
+    rho = 1.0 / ys
+    hy = h @ y
+    scale = rho * rho * float(np.dot(y, hy)) + rho
+    out = h - rho * (np.outer(s, hy) + np.outer(hy, s)) + scale * np.outer(s, s)
+    return (out + out.T) / 2.0
+
+
+@pytest.mark.parametrize("size", [6, 88, 406, 800])
+def test_update_inverse_hessian_chain_matches_allocating_formula(size):
+    # 406 rows do not split into equal blocks, 800 do; every tenth pair
+    # has negative curvature and must leave the matrix untouched
+    rng = np.random.default_rng(size)
+    h = np.eye(size)
+    expected = np.eye(size)
+    for k in range(30):
+        s = rng.normal(size=size)
+        y = s * rng.uniform(0.5, 2.0, size=size) + 0.1 * rng.normal(size=size)
+        if k % 10 == 9:
+            y = -y
+        expected = update_by_allocating_formula(expected, s, y)
+        got = update_inverse_hessian(h, s, y)
+        assert got is h
+        assert got.tobytes() == expected.tobytes()
+        assert np.array_equal(got, got.T)
+
+
+def test_bfgs_trajectory_matches_allocating_update(monkeypatch):
+    n = 60
+    layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(0))
+
+    def descend():
+        steps = []
+        outcome = bfgs_minimize(
+            layout, mode="local", rng=Rng(0),
+            callback=lambda state, rec: steps.append(state.iterate.tobytes()),
+        )
+        return outcome, steps
+
+    got, got_steps = descend()
+    monkeypatch.setattr(optimizer, "update_inverse_hessian", update_by_allocating_formula)
+    want, want_steps = descend()
+    assert got_steps == want_steps
+    assert got.status is want.status
+    assert got.energy == want.energy
+    assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
+
+
+def reset_by_copying_identity(h):
+    h[...] = np.eye(h.shape[0])
+
+
+def test_search_with_restarts_matches_allocating_update(monkeypatch):
+    # hop settles at n = 16 take accepted steepest-descent restarts, so the
+    # in-place reset to the identity shapes the steps after them
+    descend = optimizer.bfgs_minimize
+
+    def run():
+        steps = []
+
+        def recorded(*args, **kwargs):
+            kwargs["callback"] = lambda state, rec: steps.append(
+                (rec.restarted, state.iterate.tobytes())
+            )
+            return descend(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "bfgs_minimize", recorded)
+        monkeypatch.setattr(search, "bfgs_minimize", recorded)
+        report = cp.global_search(16, cp.load_best_known().radius_for(16), 600.0, Rng(0), max_restarts=8)
+        return report, steps
+
+    got, got_steps = run()
+    assert any(restarted for restarted, _ in got_steps)
+    monkeypatch.setattr(optimizer, "update_inverse_hessian", update_by_allocating_formula)
+    monkeypatch.setattr(optimizer, "_reset_to_identity", reset_by_copying_identity)
+    want, want_steps = run()
+    assert got_steps == want_steps
+    assert got.status is want.status
+    assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
 
 
 def test_bfgs_separates_two_overlapping_circles():
