@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .geometry import Rng
@@ -45,49 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the solver-driving commands."""
-
-    n: int | None = None
-    radius: float | None = None
-    best_known: str | None = None
-    seed: int = 0
-    t0: float = 600.0
-    t1: float = 3600.0
-    max_restarts: int | None = None
-    solver: SolverConfig = SolverConfig()
-    reps: int = 10
-
-    def validate(self) -> "RunConfig":
-        if self.n is not None and self.n < 1:
-            raise UsageError(f"--n must be >= 1, got {self.n}")
-        if self.radius is not None and self.radius < 1.0:
-            raise UsageError(f"--radius must be >= 1, got {self.radius}")
-        if self.t0 <= 0.0 or self.t1 <= 0.0:
-            raise UsageError("time limits must be positive")
-        if self.max_restarts is not None and self.max_restarts < 1:
-            raise UsageError("--max-restarts must be >= 1")
-        if self.reps < 1:
-            raise UsageError("--reps must be >= 1")
-        return self
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        try:
-            solver = SolverConfig(args.mode, args.l, args.d1, args.d2)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        values = {
-            name: getattr(args, name)
-            for name in ("n", "radius", "best_known", "seed", "t0", "t1", "max_restarts", "reps")
-            if getattr(args, name, None) is not None
-        }
-        if isinstance(values.get("n"), str):
-            del values["n"]  # bench takes a range spec, parsed separately
-        return cls(solver=solver, **values).validate()
-
-
 def _producer() -> str:
     from . import __version__
 
@@ -100,15 +57,20 @@ def _load_table(path: str | None):
     return read_best_known(path)
 
 
-def _resolve_radius(config: RunConfig) -> float:
-    if config.n is None:
-        raise UsageError("--n is required")
-    if config.radius is not None:
-        return config.radius
-    if config.best_known is not None:
-        table = read_best_known(config.best_known)
+def _solver_config(args) -> SolverConfig:
+    try:
+        return SolverConfig(args.mode, args.l, args.d1, args.d2)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _resolve_radius(args) -> float:
+    if args.radius is not None:
+        return args.radius
+    if args.best_known is not None:
+        table = read_best_known(args.best_known)
         try:
-            return table.radius_for(config.n)
+            return table.radius_for(args.n)
         except KeyError as exc:
             raise UsageError(str(exc)) from None
     raise UsageError("need --radius or --best-known")
@@ -139,15 +101,15 @@ def _write_outputs(report, args) -> None:
 
 
 def cmd_solve(args) -> int:
-    config = RunConfig.from_args(args)
-    radius = _resolve_radius(config)
+    config = _solver_config(args)
+    radius = _resolve_radius(args)
     report = global_search(
-        config.n,
+        args.n,
         radius,
-        config.t0,
-        rng=Rng(config.seed),
-        max_restarts=config.max_restarts,
-        config=config.solver,
+        args.t0,
+        rng=Rng(args.seed),
+        max_restarts=args.max_restarts,
+        config=config,
     )
     for line in _report_lines(report):
         print(line)
@@ -156,21 +118,21 @@ def cmd_solve(args) -> int:
 
 
 def cmd_improve(args) -> int:
-    config = RunConfig.from_args(args)
-    start_radius = _resolve_radius(config)
+    config = _solver_config(args)
+    start_radius = _resolve_radius(args)
     report = minimize_radius(
-        config.n,
+        args.n,
         start_radius,
-        t0=config.t0,
-        t1=config.t1,
-        rng=Rng(config.seed),
-        max_restarts=config.max_restarts,
-        config=config.solver,
+        t0=args.t0,
+        t1=args.t1,
+        rng=Rng(args.seed),
+        max_restarts=args.max_restarts,
+        config=config,
     )
     print(f"start_radius={format_decimal(start_radius)}")
     for line in _report_lines(report):
         print(line)
-    if config.best_known is not None and report.status is SolveStatus.FEASIBLE:
+    if args.best_known is not None and report.status is SolveStatus.FEASIBLE:
         print(f"improvement={format_decimal(start_radius - report.radius)}")
     _write_outputs(report, args)
     return EXIT_OK if report.status is SolveStatus.FEASIBLE else EXIT_NO_SOLUTION
@@ -227,18 +189,18 @@ def _parse_ns(text: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    config = RunConfig.from_args(args)
+    config = _solver_config(args)
     ns = _parse_ns(args.n)
     if args.experiment == "hits":
-        table = _load_table(config.best_known)
+        table = _load_table(args.best_known)
         records = bench_mod.run_hits(
             ns,
             table,
-            reps=config.reps,
-            time_limit=config.t0,
-            seed_base=config.seed,
-            max_restarts=config.max_restarts,
-            config=config.solver,
+            reps=args.reps,
+            time_limit=args.t0,
+            seed_base=args.seed,
+            max_restarts=args.max_restarts,
+            config=config,
             progress=lambda record: print(bench_mod.format_hits_line(record)),
         )
         if args.out is not None:
@@ -250,10 +212,10 @@ def cmd_bench(args) -> int:
     if len(ns) != 1:
         raise UsageError(f"--experiment {args.experiment} needs a single --n")
     n = ns[0]
-    if config.radius is not None:
-        radius = config.radius
+    if args.radius is not None:
+        radius = args.radius
     else:
-        table = _load_table(config.best_known)
+        table = _load_table(args.best_known)
         try:
             radius = table.radius_for(n)
         except KeyError as exc:
@@ -261,14 +223,14 @@ def cmd_bench(args) -> int:
 
     if args.experiment == "modes":
         setting = "mode"
-        records = bench_mod.run_mode_timing(n, radius, config.reps, config.seed, config.solver)
+        records = bench_mod.run_mode_timing(n, radius, args.reps, args.seed, config)
     else:
         setting = "refresh_period"
         configs = [
-            replace(config.solver, mode="local", refresh_period=period)
+            replace(config, mode="local", refresh_period=period)
             for period in _parse_ns(args.periods)
         ]
-        records = bench_mod.run_timing(n, radius, configs, config.reps, config.seed)
+        records = bench_mod.run_timing(n, radius, configs, args.reps, args.seed)
     for record in records:
         if setting == "mode":
             lead = f"mode={record.mode:<5} n={record.n}"
@@ -285,19 +247,38 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _at_least(convert, low, strict=False):
+    """argparse ``type`` that converts the text and requires a value >= ``low``,
+    or > ``low`` when ``strict``; written so that NaN fails too."""
+
+    def parse(text):
+        value = convert(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_COUNT = _at_least(int, 1)
+_RADIUS = _at_least(float, 1.0)
+_SECONDS = _at_least(float, 0.0, strict=True)
+
+
 def _add_solver_flags(parser, include_t1: bool = False) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument(
-        "--t0", type=float, default=600.0,
+        "--t0", type=_SECONDS, default=600.0,
         help="time budget per search attempt in seconds (default 600)",
     )
     if include_t1:
         parser.add_argument(
-            "--t1", type=float, default=3600.0,
+            "--t1", type=_SECONDS, default=3600.0,
             help="total time budget in seconds (default 3600)",
         )
     parser.add_argument(
-        "--max-restarts", type=int, default=None, dest="max_restarts",
+        "--max-restarts", type=_COUNT, default=None, dest="max_restarts",
         help="deterministic restart budget instead of relying on the clock",
     )
     parser.add_argument(
@@ -328,8 +309,8 @@ def build_parser() -> _Parser:
     solve = commands.add_parser(
         "solve", help="search for a feasible packing at a fixed container radius"
     )
-    solve.add_argument("--n", type=int, required=True, help="number of circles")
-    solve.add_argument("--radius", type=float, default=None, help="container radius")
+    solve.add_argument("--n", type=_COUNT, required=True, help="number of circles")
+    solve.add_argument("--radius", type=_RADIUS, default=None, help="container radius")
     solve.add_argument(
         "--best-known", default=None, dest="best_known",
         help="CSV of best-known radii to look the target radius up in",
@@ -342,8 +323,8 @@ def build_parser() -> _Parser:
     improve = commands.add_parser(
         "improve", help="minimize the container radius starting from a given one"
     )
-    improve.add_argument("--n", type=int, required=True, help="number of circles")
-    improve.add_argument("--radius", type=float, default=None, help="starting radius")
+    improve.add_argument("--n", type=_COUNT, required=True, help="number of circles")
+    improve.add_argument("--radius", type=_RADIUS, default=None, help="starting radius")
     improve.add_argument(
         "--best-known", default=None, dest="best_known",
         help="CSV of best-known radii; the starting radius and improvement baseline",
@@ -380,13 +361,13 @@ def build_parser() -> _Parser:
         "--n", required=True,
         help="circle counts: single value, range '2-10', or comma list",
     )
-    bench.add_argument("--radius", type=float, default=None, help="target radius")
+    bench.add_argument("--radius", type=_RADIUS, default=None, help="target radius")
     bench.add_argument(
         "--best-known", default=None, dest="best_known",
         help="CSV of target radii (default: the bundled table)",
     )
     _add_solver_flags(bench)
-    bench.add_argument("--reps", type=int, default=10, help="runs per cell (default 10)")
+    bench.add_argument("--reps", type=_COUNT, default=10, help="runs per cell (default 10)")
     bench.add_argument(
         "--experiment", choices=("hits", "modes", "refresh"), default="hits",
         help="hits: hit counts at target radii; modes: full vs local timing; "

@@ -44,13 +44,15 @@ def format_decimal(value: float, min_significant: int = MIN_SIGNIFICANT_DIGITS) 
     """Shortest exact decimal form of ``value``, zero-padded to a minimum
     number of significant digits, never in scientific notation.
 
-    ``float(format_decimal(v)) == v`` holds for every finite input.
+    ``float(format_decimal(v))`` has the bits of ``v`` for every finite
+    input, the sign of -0.0 included.
     """
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"cannot format non-finite value {value!r}")
     if value == 0.0:
-        return "0." + "0" * min_significant
+        sign = "-" if math.copysign(1.0, value) < 0.0 else ""
+        return sign + "0." + "0" * min_significant
     text = np.format_float_positional(value, unique=True, trim="0")
     digits = text.replace("-", "").replace(".", "").lstrip("0")
     fraction = len(text) - text.index(".") - 1

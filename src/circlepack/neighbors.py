@@ -25,35 +25,29 @@ _COINCIDENT_JITTER = 1e-8
 class NeighborIndex:
     """Adjacency snapshot of a layout.
 
-    ``pair_i``/``pair_j`` enumerate the adjacent unordered pairs (i < j,
-    lexicographic); ``container_ids`` lists circles close to the wall. The
-    pair relation is symmetric and self-free by construction. ``age`` counts
-    optimizer iterations since the snapshot was taken; rebuilds produce a new
-    index rather than mutating the arrays in place.
+    ``pair_i``/``pair_j`` enumerate the listed unordered pairs (i < j,
+    lexicographic); ``container_ids`` lists the circles with a wall term.
+    The pair relation is symmetric and self-free by construction. ``age``
+    counts accepted optimizer steps since the snapshot was taken; a rebuild
+    produces a new index rather than mutating the arrays in place.
     """
 
-    n: int
     pair_i: np.ndarray
     pair_j: np.ndarray
     container_ids: np.ndarray
-    container_margin: float
-    pair_margin: float
     age: int = 0
 
 
-def build_index(
-    layout: Layout,
-    container_margin: float = DEFAULT_CONTAINER_MARGIN,
-    pair_margin: float = DEFAULT_PAIR_MARGIN,
-) -> NeighborIndex:
-    """Scan all pairs and wall distances, listing those within the margins."""
-    from .optimizer import SolverConfig  # the optimizer imports this module
-
-    SolverConfig(container_margin=container_margin, pair_margin=pair_margin)
-    return _build_index_raw(layout.centers, layout.radius, container_margin, pair_margin)
-
-
 def _build_index_raw(centers, radius, container_margin, pair_margin) -> NeighborIndex:
+    """Scan all pairs and wall distances of ``centers``, shape (n, 2).
+
+    A pair is listed when its boundary-to-boundary distance is at most
+    ``pair_margin``. A wall term is listed when the circle's boundary lies
+    no more than ``container_margin`` outside the wall of ``radius``: every
+    circle inside is listed, and a circle farther outside is not. The
+    margins are not validated here; ``optimizer.SolverConfig`` does that,
+    and the optimizer is its only caller in the package.
+    """
     n = centers.shape[0]
     pair_i, pair_j = all_pair_indices(n)
     delta = centers[pair_i] - centers[pair_j]
@@ -61,27 +55,13 @@ def _build_index_raw(centers, radius, container_margin, pair_margin) -> Neighbor
     keep = dist - 2.0 <= pair_margin
     rad = np.hypot(centers[:, 0], centers[:, 1])
     near_wall = rad + 1.0 - radius <= container_margin
-    return NeighborIndex(
-        n=n,
-        pair_i=pair_i[keep],
-        pair_j=pair_j[keep],
-        container_ids=np.flatnonzero(near_wall),
-        container_margin=container_margin,
-        pair_margin=pair_margin,
-    )
+    return NeighborIndex(pair_i[keep], pair_j[keep], np.flatnonzero(near_wall))
 
 
 def full_index(n: int) -> NeighborIndex:
     """Index listing every pair and every container term (no restriction)."""
     pair_i, pair_j = all_pair_indices(n)
-    return NeighborIndex(
-        n=n,
-        pair_i=pair_i,
-        pair_j=pair_j,
-        container_ids=np.arange(n),
-        container_margin=np.inf,
-        pair_margin=np.inf,
-    )
+    return NeighborIndex(pair_i, pair_j, np.arange(n))
 
 
 def index_energy(centers: np.ndarray, radius: float, index: NeighborIndex) -> float:
@@ -133,21 +113,8 @@ def energy_gradient_full(layout: Layout, rng: Rng | None = None) -> tuple[Energy
     The gradient comes back flattened as (dU/dx1, dU/dy1, ..., dU/dxn,
     dU/dyn). Terms with zero depth contribute exactly zero.
     """
-    return energy_gradient_local(layout, full_index(layout.n), rng)
-
-
-def energy_gradient_local(
-    layout: Layout, index: NeighborIndex, rng: Rng | None = None
-) -> tuple[Energy, np.ndarray]:
-    """Like :func:`energy_gradient_full` but restricted to the index's lists.
-
-    Sound immediately after a rebuild with the default margins: any
-    overlapping term has boundary distance below zero and is therefore
-    listed. Staleness beyond the optimizer's refresh period is the caller's
-    contract violation.
-    """
     total, max_pair, max_cont, grad, _ = gradient_eval(
-        layout.centers, layout.radius, index, rng
+        layout.centers, layout.radius, full_index(layout.n), rng
     )
     energy = Energy(total=total, max_pair_depth=max_pair, max_container_depth=max_cont)
     return energy, grad.reshape(-1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -75,8 +76,10 @@ class SolverConfig:
         if mode not in ("full", "local"):
             raise ValueError(f"mode must be 'full' or 'local', got {self.mode!r}")
         object.__setattr__(self, "mode", mode)
-        if self.refresh_period < 1:
-            raise ValueError(f"refresh_period must be >= 1, got {self.refresh_period}")
+        period = self.refresh_period
+        # a NaN period would never refresh the index
+        if not isinstance(period, numbers.Integral) or period < 1:
+            raise ValueError(f"refresh_period must be an integer >= 1, got {period!r}")
         for name in ("container_margin", "pair_margin"):
             value = getattr(self, name)
             # written so that NaN fails too
@@ -272,93 +275,81 @@ def bfgs_minimize(
     noise only and would otherwise spin out the whole budget.
 
     In local mode the neighbor index is rebuilt every ``refresh_period``
-    accepted steps. Energy-based termination is confirmed against the exact
-    all-pairs energy before FEASIBLE is reported; an apparent zero that the
-    index cannot corroborate forces a rebuild instead of a false positive.
-    With both margins infinite the index provably covers every term, so the
-    local run follows the full-mode trajectory bit for bit.
+    accepted steps. FEASIBLE needs the exact all-pairs energy to confirm an
+    index energy below the threshold; an unconfirmed zero or a small
+    gradient ends the run only on a fresh index, and a stale one is rebuilt
+    first. With both margins infinite the index provably covers every term,
+    so the local run follows the full-mode trajectory bit for bit.
     """
     config = SolverConfig(mode, refresh_period, container_margin, pair_margin)
-    if max_iterations < 1:
+    # written so that NaN fails too
+    if not max_iterations >= 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     r = layout.radius if radius is None else float(radius)
     if not math.isfinite(r) or r <= 0.0:
         raise ValueError(f"container radius must be positive and finite, got {r}")
 
     n = layout.n
-    local = config.mode == "local"
-    if local:
-        index = _build_index_raw(layout.centers, r, container_margin, pair_margin)
-    else:
-        index = full_index(n)
-    covers_all = (not local) or (math.isinf(container_margin) and math.isinf(pair_margin))
-
+    # with both margins infinite the index lists every term and never ages
+    covers_all = config.mode == "full" or (math.isinf(container_margin) and math.isinf(pair_margin))
     evaluations = 0
 
-    def _gradient_at(points):
+    def rebuild(vec):
+        nonlocal index
+        index = _build_index_raw(vec.reshape(n, 2), r, container_margin, pair_margin)
+
+    def evaluate(vec):
         nonlocal evaluations
         evaluations += 1
-        return gradient_eval(points, r, index, rng)
+        total, _, _, grad, centers = gradient_eval(vec.reshape(n, 2), r, index, rng)
+        return total, centers.reshape(-1), grad.reshape(-1)
 
-    def _energy_at(vec):
+    def trial_energy(vec):
         nonlocal evaluations
         evaluations += 1
         return index_energy(vec.reshape(n, 2), r, index)
 
-    total, _, _, grad, centers = _gradient_at(np.array(layout.centers, dtype=float))
-    x = centers.reshape(-1)
-    g = grad.reshape(-1)
-    gnorm = float(np.linalg.norm(g))
+    x = np.array(layout.centers, dtype=float).reshape(-1)
+    if config.mode == "full":
+        index = full_index(n)
+    else:
+        rebuild(x)
+    total, x, g = evaluate(x)
     state = BfgsState(iterate=x, gradient=g, inv_hessian=np.eye(2 * n))
-    status = None
-    final_energy = None
     best_seen = total
     stall_anchor = 0
 
     while True:
+        gnorm = float(np.linalg.norm(g))
+        # reported only on an exit from this iteration, never after a rebuild
+        exact = None
         if total < FEASIBLE_ENERGY:
             exact = total_energy(Layout(x.reshape(n, 2), r))
             if exact.total < FEASIBLE_ENERGY:
-                status, final_energy = OptimizeStatus.FEASIBLE, exact
+                status = OptimizeStatus.FEASIBLE
                 break
-            if index.age > 0:
-                index = _build_index_raw(x.reshape(n, 2), r, container_margin, pair_margin)
-                total, _, _, grad, centers = _gradient_at(x.reshape(n, 2))
-                x, g = centers.reshape(-1), grad.reshape(-1)
-                gnorm = float(np.linalg.norm(g))
-                continue
-            # the index is fresh and lists nothing left to descend on; the
-            # remaining violations sit outside its margins
-            status, final_energy = OptimizeStatus.GRADIENT_CONVERGED, exact
-            break
-        if gnorm < GRADIENT_TOLERANCE:
-            if covers_all or index.age == 0:
+        if exact is not None or gnorm < GRADIENT_TOLERANCE:
+            # a fresh index lists nothing left to descend on (any remaining
+            # violations sit outside its margins); a stale one is rebuilt first
+            if index.age == 0:
                 status = OptimizeStatus.GRADIENT_CONVERGED
                 break
-            index = _build_index_raw(x.reshape(n, 2), r, container_margin, pair_margin)
-            total, _, _, grad, centers = _gradient_at(x.reshape(n, 2))
-            x, g = centers.reshape(-1), grad.reshape(-1)
-            gnorm = float(np.linalg.norm(g))
+            rebuild(x)
+            total, x, g = evaluate(x)
             continue
         if state.iteration >= max_iterations:
             status = OptimizeStatus.ITERATION_LIMIT
             break
 
-        direction = -(state.inv_hessian @ g)
-        slope = float(np.dot(g, direction))
-        restarted = False
-        if slope >= 0.0:
-            _reset_to_identity(state.inv_hessian)
-            direction = -g
-            slope = -float(np.dot(g, g))
-            restarted = True
-        lam, accepted = _backtrack(_energy_at, x, direction, total, slope)
-        if lam == 0.0 and not restarted:
-            _reset_to_identity(state.inv_hessian)
-            direction = -g
-            slope = -float(np.dot(g, g))
-            restarted = True
-            lam, accepted = _backtrack(_energy_at, x, direction, total, slope)
+        # one steepest-descent restart when the quasi-Newton step fails
+        for restarted in (False, True):
+            if restarted:
+                _reset_to_identity(state.inv_hessian)
+            direction = -g if restarted else -(state.inv_hessian @ g)
+            slope = float(np.dot(g, direction))
+            lam, accepted = _backtrack(trial_energy, x, direction, total, slope)
+            if lam > 0.0:
+                break
         if lam == 0.0:
             status = OptimizeStatus.ITERATION_LIMIT
             break
@@ -366,18 +357,15 @@ def bfgs_minimize(
         x_new = x + lam * direction
         step_age = index.age
         state.iteration += 1
-        if local and not covers_all:
+        if not covers_all:
             index.age += 1
             if index.age >= refresh_period:
-                index = _build_index_raw(x_new.reshape(n, 2), r, container_margin, pair_margin)
+                rebuild(x_new)
 
-        energy_before, gnorm_before = total, gnorm
-        total, _, _, grad, centers = _gradient_at(x_new.reshape(n, 2))
-        x_new = centers.reshape(-1)
-        g_new = grad.reshape(-1)
+        energy_before = total
+        total, x_new, g_new = evaluate(x_new)
         state.inv_hessian = update_inverse_hessian(state.inv_hessian, x_new - x, g_new - g)
         x, g = x_new, g_new
-        gnorm = float(np.linalg.norm(g))
         state.iterate, state.gradient = x, g
         if callback is not None:
             callback(
@@ -386,7 +374,7 @@ def bfgs_minimize(
                     iteration=state.iteration,
                     energy_before=energy_before,
                     energy_after=accepted,
-                    gradient_norm=gnorm_before,
+                    gradient_norm=gnorm,
                     step_length=lam,
                     index_age=step_age,
                     restarted=restarted,
@@ -400,11 +388,9 @@ def bfgs_minimize(
             break
 
     final_layout = Layout(x.reshape(n, 2), r)
-    if final_energy is None:
-        final_energy = total_energy(final_layout)
     return OptimizeOutcome(
         layout=final_layout,
-        energy=final_energy,
+        energy=total_energy(final_layout) if exact is None else exact,
         status=status,
         iterations=state.iteration,
         evaluations=evaluations,

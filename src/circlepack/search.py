@@ -121,9 +121,10 @@ def global_search(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if radius < 1.0:
+    # each check is written so that NaN fails too
+    if not radius >= 1.0:
         raise ValueError(f"search radius must be >= 1, got {radius}")
-    if time_limit <= 0.0:
+    if not time_limit > 0.0:
         raise ValueError(f"time limit must be positive, got {time_limit}")
     start = time.monotonic()
     deadline = start + float(time_limit)
@@ -278,9 +279,10 @@ def minimize_radius(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if start_radius < 1.0:
+    # each check is written so that NaN fails too
+    if not start_radius >= 1.0:
         raise ValueError(f"start radius must be >= 1, got {start_radius}")
-    if t0 <= 0.0 or t1 <= 0.0:
+    if not (t0 > 0.0 and t1 > 0.0):
         raise ValueError(f"time limits must be positive, got t0={t0}, t1={t1}")
     if rng is None:
         rng = Rng(0)

@@ -56,6 +56,13 @@ def test_solve_usage_errors(capsys):
     assert main(["solve", "--n", "2", "--radius", "2", "--l", "0"]) == EXIT_USAGE
     assert main(["solve", "--n", "2", "--radius", "2", "--d1", "-1"]) == EXIT_USAGE
     assert main(["solve", "--n", "2", "--radius", "2", "--t0", "0"]) == EXIT_USAGE
+    # NaN used to pass the checks: a NaN radius crashed with exit 1 and a
+    # NaN time limit ended the run at once with exit 2
+    assert main(["solve", "--n", "2", "--radius", "nan"]) == EXIT_USAGE
+    assert main(["solve", "--n", "2", "--radius", "2", "--t0", "nan"]) == EXIT_USAGE
+    assert main(["improve", "--n", "2", "--radius", "2", "--t1", "nan"]) == EXIT_USAGE
+    assert main(["solve", "--n", "2", "--radius", "2", "--max-restarts", "0"]) == EXIT_USAGE
+    assert main(["bench", "--n", "2", "--radius", "2", "--reps", "0"]) == EXIT_USAGE
 
 
 def test_solve_forwards_solver_flags(monkeypatch, capsys):

@@ -23,6 +23,7 @@ from circlepack.layout_io import (
 def test_format_decimal_examples():
     assert format_decimal(1.0) == "1.000000000000"
     assert format_decimal(0.0) == "0.000000000000"
+    assert format_decimal(-0.0) == "-0.000000000000"
     assert format_decimal(2.0) == "2.000000000000"
 
 
@@ -30,7 +31,7 @@ def test_format_decimal_examples():
 @settings(max_examples=500, deadline=None)
 def test_format_decimal_round_trips(value):
     text = format_decimal(value)
-    assert float(text) == value
+    assert float(text).hex() == value.hex()
     assert "e" not in text and "E" not in text
     digits = text.replace("-", "").replace(".", "").lstrip("0")
     if value != 0.0:
@@ -68,6 +69,17 @@ def test_write_then_read_layout_is_bit_identical(tmp_path):
     parsed = cp.read_layout(path).layout()
     assert np.array_equal(parsed.centers, layout.centers)
     assert parsed.radius == layout.radius
+
+
+def test_write_then_read_keeps_negative_zero(tmp_path):
+    # a single circle at R = 1 sits at a centre of signed zeros; seeds 0-5
+    # give -0.0 in either coordinate
+    path = tmp_path / "one.txt"
+    for seed in range(6):
+        layout = cp.random_layout(1, 1.0, cp.Rng(seed))
+        cp.write_layout(layout, None, path)
+        parsed = cp.read_layout(path).layout()
+        assert parsed.centers.tobytes() == layout.centers.tobytes()
 
 
 def test_serialize_parse_round_trip_preserves_digits():

@@ -5,9 +5,10 @@ import pytest
 
 from circlepack.geometry import Layout, Rng, random_layout, total_energy
 from circlepack.neighbors import (
-    build_index,
+    DEFAULT_CONTAINER_MARGIN,
+    DEFAULT_PAIR_MARGIN,
+    _build_index_raw,
     energy_gradient_full,
-    energy_gradient_local,
     full_index,
     gradient_eval,
     index_energy,
@@ -19,9 +20,15 @@ def dense_layout(n, seed, slack=0.75):
     return random_layout(n, 1.0 + slack * math.sqrt(n), rng)
 
 
+def index_of(
+    layout, container_margin=DEFAULT_CONTAINER_MARGIN, pair_margin=DEFAULT_PAIR_MARGIN
+):
+    return _build_index_raw(layout.centers, layout.radius, container_margin, pair_margin)
+
+
 def test_build_index_matches_bruteforce_predicates():
     layout = dense_layout(25, 9)
-    index = build_index(layout, container_margin=1.0, pair_margin=1.0)
+    index = index_of(layout, container_margin=1.0, pair_margin=1.0)
     c = layout.centers
     expected_pairs = set()
     for i in range(layout.n):
@@ -42,29 +49,15 @@ def test_build_index_matches_bruteforce_predicates():
     assert set(index.container_ids.tolist()) == expected_wall
 
 
-def test_margin_validation():
-    layout = dense_layout(5, 1)
-    with pytest.raises(ValueError):
-        build_index(layout, container_margin=-0.5)
-    with pytest.raises(ValueError):
-        build_index(layout, pair_margin=-1.0)
-    with pytest.raises(ValueError):
-        build_index(layout, container_margin=math.nan)
-    with pytest.raises(ValueError):
-        build_index(layout, pair_margin=math.nan)
-
-
 def test_full_index_lists_everything():
     index = full_index(12)
     assert index.pair_i.size == 12 * 11 // 2
     assert set(index.container_ids.tolist()) == set(range(12))
-    assert math.isinf(index.container_margin)
-    assert math.isinf(index.pair_margin)
 
 
 def test_adjacency_lists_are_symmetric():
     layout = dense_layout(18, 4)
-    index = build_index(layout)
+    index = index_of(layout)
     pairs = list(zip(index.pair_i.tolist(), index.pair_j.tolist()))
     # each unordered pair is listed once, as (i, j) with i < j
     assert all(i < j for i, j in pairs)
@@ -77,7 +70,7 @@ def test_index_energy_bitwise_equal_to_total_energy():
     for seed in range(20):
         layout = dense_layout(int(Rng(seed).integers(2, 40)), seed)
         full = total_energy(layout).total
-        fresh = index_energy(layout.centers, layout.radius, build_index(layout))
+        fresh = index_energy(layout.centers, layout.radius, index_of(layout))
         everything = index_energy(layout.centers, layout.radius, full_index(layout.n))
         assert fresh == full
         assert everything == full
@@ -85,7 +78,7 @@ def test_index_energy_bitwise_equal_to_total_energy():
 
 def test_gradient_eval_energy_consistency():
     layout = dense_layout(30, 2)
-    index = build_index(layout)
+    index = index_of(layout)
     total, max_pair, max_cont, grad, centers = gradient_eval(
         layout.centers, layout.radius, index
     )
@@ -127,14 +120,6 @@ def test_gradient_oracle_wall():
     assert grad[1] == 0.0
 
 
-def test_local_gradient_with_full_coverage_matches_full():
-    layout = dense_layout(35, 8)
-    e_full, g_full = energy_gradient_full(layout)
-    e_local, g_local = energy_gradient_local(layout, full_index(layout.n))
-    assert e_local.total == e_full.total
-    assert np.array_equal(g_full, g_local)
-
-
 def test_coincident_centers_get_nudged():
     centers = np.array([[0.5, 0.5], [0.5, 0.5], [-1.0, 0.0]])
     layout = Layout(centers, 5.0)
@@ -147,4 +132,4 @@ def test_coincident_centers_get_nudged():
 
 def test_index_age_starts_at_zero():
     layout = dense_layout(6, 3)
-    assert build_index(layout).age == 0
+    assert index_of(layout).age == 0

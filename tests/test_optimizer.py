@@ -209,6 +209,34 @@ def test_bfgs_gradient_convergence_on_shallow_jam():
     assert outcome.energy.total > FEASIBLE_ENERGY
 
 
+@pytest.mark.parametrize(
+    "make, options, status, iterations",
+    [
+        # the circle sits beyond the wall margin, so the fresh index lists
+        # nothing and reads energy 0
+        (lambda: Layout(np.array([[5.0, 0.0]]), 3.0), {},
+         OptimizeStatus.GRADIENT_CONVERGED, 0),
+        # a stale index reads feasible at step 111 and the exact energy does
+        # not; the rebuilt index still lists nothing left to descend on
+        (lambda: random_layout(60, 1.0 + math.sqrt(60 / 0.84), Rng(9)), {"rng": Rng(9)},
+         OptimizeStatus.GRADIENT_CONVERGED, 111),
+        # a stale index reads feasible at step 7; after the rebuild one more
+        # step is taken, so the exact energy from step 7 must not be reported
+        (lambda: random_layout(12, 1.0 + math.sqrt(12 / 0.72), Rng(7)),
+         {"rng": Rng(7), "max_iterations": 8}, OptimizeStatus.ITERATION_LIMIT, 8),
+        (lambda: random_layout(8, 3.0, Rng(12)), {}, OptimizeStatus.ITERATION_LIMIT, 125),
+    ],
+    ids=["escaped-fresh-index", "stale-index-converged", "limit-after-rebuild", "stall"],
+)
+def test_bfgs_exit_reports_exact_energy(make, options, status, iterations):
+    outcome = bfgs_minimize(make(), **options)
+    assert (outcome.status, outcome.iterations) == (status, iterations)
+    assert outcome.energy == total_energy(outcome.layout)
+    assert (outcome.status is OptimizeStatus.FEASIBLE) == (
+        outcome.energy.total < FEASIBLE_ENERGY
+    )
+
+
 def test_bfgs_iteration_limit():
     layout = random_layout(20, 5.0, Rng(5))
     outcome = bfgs_minimize(layout, max_iterations=2)
@@ -276,12 +304,19 @@ def test_bfgs_rejects_unknown_mode():
         {"pair_margin": -1.5},
         {"container_margin": math.nan},
         {"pair_margin": math.nan},
+        {"refresh_period": math.nan},
+        {"refresh_period": 1.5},
+        {"max_iterations": math.nan},
     ],
-    ids=["negative-container", "negative-pair", "nan-container", "nan-pair"],
+    ids=[
+        "negative-container", "negative-pair", "nan-container", "nan-pair",
+        "nan-refresh", "fractional-refresh", "nan-iterations",
+    ],
 )
 def test_bfgs_rejects_bad_margins(setting):
     # a negative or NaN margin lists too few terms (NaN lists none), so the
-    # descent would stop early and report a false GRADIENT_CONVERGED
+    # descent would stop early and report a false GRADIENT_CONVERGED; a NaN
+    # refresh period never refreshes the index
     layout = random_layout(20, 4.5, Rng(1))
     with pytest.raises(ValueError):
         bfgs_minimize(layout, **setting)

@@ -85,6 +85,18 @@ def test_global_search_timeout():
     assert report.status is SolveStatus.TIMEOUT
 
 
+@pytest.mark.parametrize(
+    "radius, time_limit",
+    [(0.5, 10.0), (math.nan, 10.0), (3.0, 0.0), (3.0, math.nan)],
+    ids=["small-radius", "nan-radius", "zero-time", "nan-time"],
+)
+def test_global_search_rejects_bad_arguments(radius, time_limit):
+    # the check names the argument: a NaN radius used to fail later, inside
+    # random_layout, and a NaN time limit never expired
+    with pytest.raises(ValueError, match="radius must|time limit must"):
+        global_search(2, radius, time_limit, rng=Rng(0))
+
+
 def test_container_adjust_requires_feasible_input():
     layout = Layout(np.array([[0.0, 0.0], [1.0, 0.0]]), 10.0)
     with pytest.raises(ValueError):
@@ -141,3 +153,13 @@ def test_minimize_radius_timeout_keeps_start_radius():
     report = minimize_radius(30, 7.0, t0=1e-6, t1=1e-6, rng=Rng(2))
     assert report.status is SolveStatus.TIMEOUT
     assert report.radius == 7.0
+
+
+@pytest.mark.parametrize(
+    "start_radius, t0, t1",
+    [(0.5, 1.0, 1.0), (math.nan, 1.0, 1.0), (3.0, math.nan, 1.0), (3.0, 1.0, math.nan)],
+    ids=["small-radius", "nan-radius", "nan-t0", "nan-t1"],
+)
+def test_minimize_radius_rejects_bad_arguments(start_radius, t0, t1):
+    with pytest.raises(ValueError, match="radius must|time limits must"):
+        minimize_radius(2, start_radius, t0=t0, t1=t1, rng=Rng(0))
