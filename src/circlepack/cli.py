@@ -9,12 +9,14 @@ malformed or unreadable input file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .geometry import Rng
 from .layout_io import (
+    DEFAULT_VERIFY_TOLERANCE,
     LayoutFormatError,
     TableValidationError,
     format_decimal,
@@ -26,7 +28,13 @@ from .layout_io import (
 )
 from .optimizer import SolverConfig
 from .rendering import render_svg
-from .search import SolveStatus, global_search, minimize_radius
+from .search import (
+    DEFAULT_ATTEMPT_SECONDS,
+    DEFAULT_TOTAL_SECONDS,
+    SolveStatus,
+    global_search,
+    minimize_radius,
+)
 from . import bench as bench_mod
 
 EXIT_OK = 0
@@ -64,16 +72,17 @@ def _solver_config(args) -> SolverConfig:
         raise UsageError(str(exc)) from None
 
 
-def _resolve_radius(args) -> float:
+def _resolve_radius(args, n: int, bundled: bool = False) -> float:
+    """``--radius``, else the entry for ``n`` in the ``--best-known`` table,
+    else, when ``bundled``, in the bundled table."""
     if args.radius is not None:
         return args.radius
-    if args.best_known is not None:
-        table = read_best_known(args.best_known)
-        try:
-            return table.radius_for(args.n)
-        except KeyError as exc:
-            raise UsageError(str(exc)) from None
-    raise UsageError("need --radius or --best-known")
+    if args.best_known is None and not bundled:
+        raise UsageError("need --radius or --best-known")
+    try:
+        return _load_table(args.best_known).radius_for(n)
+    except KeyError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _report_lines(report) -> list[str]:
@@ -89,20 +98,18 @@ def _report_lines(report) -> list[str]:
 
 
 def _write_outputs(report, args) -> None:
-    out = getattr(args, "out", None)
-    svg = getattr(args, "svg", None)
-    if out is not None:
-        doc = write_layout(report.layout, report, out, producer=_producer())
-        print(f"layout written to {out} (energy={doc.energy})")
-    if svg is not None:
+    if args.out is not None:
+        doc = write_layout(report.layout, report, args.out, producer=_producer())
+        print(f"layout written to {args.out} (energy={doc.energy})")
+    if args.svg is not None:
         text = render_svg(report.layout)
-        Path(svg).write_text(text, encoding="utf-8", newline="\n")
-        print(f"svg written to {svg}")
+        Path(args.svg).write_text(text, encoding="utf-8", newline="\n")
+        print(f"svg written to {args.svg}")
 
 
 def cmd_solve(args) -> int:
     config = _solver_config(args)
-    radius = _resolve_radius(args)
+    radius = _resolve_radius(args, args.n)
     report = global_search(
         args.n,
         radius,
@@ -119,7 +126,7 @@ def cmd_solve(args) -> int:
 
 def cmd_improve(args) -> int:
     config = _solver_config(args)
-    start_radius = _resolve_radius(args)
+    start_radius = _resolve_radius(args, args.n)
     report = minimize_radius(
         args.n,
         start_radius,
@@ -212,14 +219,7 @@ def cmd_bench(args) -> int:
     if len(ns) != 1:
         raise UsageError(f"--experiment {args.experiment} needs a single --n")
     n = ns[0]
-    if args.radius is not None:
-        radius = args.radius
-    else:
-        table = _load_table(args.best_known)
-        try:
-            radius = table.radius_for(n)
-        except KeyError as exc:
-            raise UsageError(str(exc)) from None
+    radius = _resolve_radius(args, n, bundled=True)
 
     if args.experiment == "modes":
         setting = "mode"
@@ -247,14 +247,16 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _at_least(convert, low, strict=False):
+def _at_least(convert, low, strict=False, finite=False):
     """argparse ``type`` that converts the text and requires a value >= ``low``,
-    or > ``low`` when ``strict``; written so that NaN fails too."""
+    or > ``low`` when ``strict``, and below infinity when ``finite``; written
+    so that NaN fails too."""
 
     def parse(text):
         value = convert(text)
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text}")
+        if not (value > low if strict else value >= low) or (finite and value == math.inf):
+            bound = f"{'>' if strict else '>='} {low}{' and finite' if finite else ''}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
 
     parse.__name__ = convert.__name__
@@ -262,41 +264,58 @@ def _at_least(convert, low, strict=False):
 
 
 _COUNT = _at_least(int, 1)
-_RADIUS = _at_least(float, 1.0)
+_RADIUS = _at_least(float, 1.0, finite=True)
 _SECONDS = _at_least(float, 0.0, strict=True)
+_DEFAULTS = SolverConfig()
 
 
 def _add_solver_flags(parser, include_t1: bool = False) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument(
-        "--t0", type=_SECONDS, default=600.0,
-        help="time budget per search attempt in seconds (default 600)",
+        "--t0", type=_SECONDS, default=DEFAULT_ATTEMPT_SECONDS,
+        help="time budget per search attempt in seconds (default %(default)g)",
     )
     if include_t1:
         parser.add_argument(
-            "--t1", type=_SECONDS, default=3600.0,
-            help="total time budget in seconds (default 3600)",
+            "--t1", type=_SECONDS, default=DEFAULT_TOTAL_SECONDS,
+            help="total time budget in seconds (default %(default)g)",
         )
     parser.add_argument(
         "--max-restarts", type=_COUNT, default=None, dest="max_restarts",
         help="deterministic restart budget instead of relying on the clock",
     )
     parser.add_argument(
-        "--mode", choices=("full", "local"), default="local",
-        help="energy evaluation mode (default local)",
+        "--mode", choices=("full", "local"), default=_DEFAULTS.mode,
+        help="energy evaluation mode (default %(default)s)",
     )
     parser.add_argument(
-        "--l", type=int, default=10, dest="l",
-        help="neighbor list refresh period in accepted steps (default 10)",
+        "--l", type=int, default=_DEFAULTS.refresh_period, dest="l",
+        help="neighbor list refresh period in accepted steps (default %(default)d)",
     )
     parser.add_argument(
-        "--d1", type=float, default=1.0, dest="d1",
-        help="container adjacency margin (default 1)",
+        "--d1", type=float, default=_DEFAULTS.container_margin, dest="d1",
+        help="container adjacency margin (default %(default)g)",
     )
     parser.add_argument(
-        "--d2", type=float, default=1.0, dest="d2",
-        help="pair adjacency margin (default 1)",
+        "--d2", type=float, default=_DEFAULTS.pair_margin, dest="d2",
+        help="pair adjacency margin (default %(default)g)",
     )
+
+
+def _add_search_flags(parser, include_t1: bool) -> None:
+    """The flags of ``solve`` and, with ``--t1``, of ``improve``."""
+    parser.add_argument("--n", type=_COUNT, required=True, help="number of circles")
+    parser.add_argument(
+        "--radius", type=_RADIUS, default=None,
+        help="starting radius" if include_t1 else "container radius",
+    )
+    parser.add_argument(
+        "--best-known", default=None, dest="best_known",
+        help="CSV of best-known radii to look the radius up in",
+    )
+    _add_solver_flags(parser, include_t1)
+    parser.add_argument("--out", default=None, help="write the layout document here")
+    parser.add_argument("--svg", default=None, help="also render the layout here")
 
 
 def build_parser() -> _Parser:
@@ -309,36 +328,20 @@ def build_parser() -> _Parser:
     solve = commands.add_parser(
         "solve", help="search for a feasible packing at a fixed container radius"
     )
-    solve.add_argument("--n", type=_COUNT, required=True, help="number of circles")
-    solve.add_argument("--radius", type=_RADIUS, default=None, help="container radius")
-    solve.add_argument(
-        "--best-known", default=None, dest="best_known",
-        help="CSV of best-known radii to look the target radius up in",
-    )
-    _add_solver_flags(solve)
-    solve.add_argument("--out", default=None, help="write the layout document here")
-    solve.add_argument("--svg", default=None, help="also render the layout here")
+    _add_search_flags(solve, include_t1=False)
     solve.set_defaults(func=cmd_solve)
 
     improve = commands.add_parser(
         "improve", help="minimize the container radius starting from a given one"
     )
-    improve.add_argument("--n", type=_COUNT, required=True, help="number of circles")
-    improve.add_argument("--radius", type=_RADIUS, default=None, help="starting radius")
-    improve.add_argument(
-        "--best-known", default=None, dest="best_known",
-        help="CSV of best-known radii; the starting radius and improvement baseline",
-    )
-    _add_solver_flags(improve, include_t1=True)
-    improve.add_argument("--out", default=None, help="write the best layout here")
-    improve.add_argument("--svg", default=None, help="also render the layout here")
+    _add_search_flags(improve, include_t1=True)
     improve.set_defaults(func=cmd_improve)
 
     verify = commands.add_parser("verify", help="re-check a layout document")
     verify.add_argument("path", help="layout document to verify")
     verify.add_argument(
-        "--tolerance", type=float, default=1e-9,
-        help="maximum tolerated overlap depth (default 1e-9)",
+        "--tolerance", type=float, default=DEFAULT_VERIFY_TOLERANCE,
+        help="maximum tolerated overlap depth (default %(default)g)",
     )
     verify.set_defaults(func=cmd_verify)
 
@@ -351,8 +354,8 @@ def build_parser() -> _Parser:
         "--indices", action="store_true", help="label each circle with its index"
     )
     render.add_argument(
-        "--tolerance", type=float, default=1e-9,
-        help="overlap depth beyond which circles are tinted (default 1e-9)",
+        "--tolerance", type=float, default=DEFAULT_VERIFY_TOLERANCE,
+        help="overlap depth beyond which circles are tinted (default %(default)g)",
     )
     render.set_defaults(func=cmd_render)
 

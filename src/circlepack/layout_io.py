@@ -40,9 +40,9 @@ class TableValidationError(ValueError):
     """A radius table parsed but violated a table-level invariant."""
 
 
-def format_decimal(value: float, min_significant: int = MIN_SIGNIFICANT_DIGITS) -> str:
-    """Shortest exact decimal form of ``value``, zero-padded to a minimum
-    number of significant digits, never in scientific notation.
+def format_decimal(value: float) -> str:
+    """Shortest exact decimal form of ``value``, zero-padded to
+    MIN_SIGNIFICANT_DIGITS significant digits, never in scientific notation.
 
     ``float(format_decimal(v))`` has the bits of ``v`` for every finite
     input, the sign of -0.0 included.
@@ -52,11 +52,11 @@ def format_decimal(value: float, min_significant: int = MIN_SIGNIFICANT_DIGITS) 
         raise ValueError(f"cannot format non-finite value {value!r}")
     if value == 0.0:
         sign = "-" if math.copysign(1.0, value) < 0.0 else ""
-        return sign + "0." + "0" * min_significant
+        return sign + "0." + "0" * MIN_SIGNIFICANT_DIGITS
     text = np.format_float_positional(value, unique=True, trim="0")
     digits = text.replace("-", "").replace(".", "").lstrip("0")
     fraction = len(text) - text.index(".") - 1
-    missing = max(min_significant - len(digits), min_significant - fraction)
+    missing = MIN_SIGNIFICANT_DIGITS - min(len(digits), fraction)
     if missing > 0:
         text += "0" * missing
     return text
@@ -271,46 +271,52 @@ class BestKnownTable:
         return sorted(self.entries.items())
 
 
-def read_best_known(source) -> BestKnownTable:
+def _read_table(source, columns: tuple[str, ...]) -> dict[int, tuple[float, ...]]:
+    """Data rows of a CSV table headed ``columns``, keyed by their first field.
+
+    The first field is a circle count n >= 1 that no other row repeats,
+    every other field a finite float; blank rows are skipped. Every error
+    names the offending line.
+    """
     text, origin = _read_text(source)
     rows = list(csv.reader(text.splitlines()))
     if not rows:
         raise LayoutFormatError(f"{origin}: empty table")
-    header = [cell.strip() for cell in rows[0]]
-    if header != ["n", "radius"]:
+    if [cell.strip() for cell in rows[0]] != list(columns):
         raise LayoutFormatError(
-            f"{origin}: line 1: expected header 'n,radius', got {rows[0]!r}"
+            f"{origin}: line 1: expected header {','.join(columns)!r}, got {rows[0]!r}"
         )
-    entries: dict[int, float] = {}
+    entries: dict[int, tuple[float, ...]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) != 2:
-            raise LayoutFormatError(
-                f"{origin}: line {lineno}: expected two fields, got {len(row)}"
-            )
+        where = f"{origin}: line {lineno}"
+        if len(row) != len(columns):
+            raise LayoutFormatError(f"{where}: expected {len(columns)} fields, got {len(row)}")
         try:
             n = int(row[0])
         except ValueError:
-            raise LayoutFormatError(
-                f"{origin}: line {lineno}: bad n {row[0]!r}"
-            ) from None
-        try:
-            radius = float(row[1])
-        except ValueError:
-            raise LayoutFormatError(
-                f"{origin}: line {lineno}: bad radius {row[1]!r}"
-            ) from None
+            raise LayoutFormatError(f"{where}: bad n {row[0]!r}") from None
         if n < 1:
-            raise LayoutFormatError(f"{origin}: line {lineno}: n must be >= 1, got {n}")
-        if not math.isfinite(radius):
-            raise LayoutFormatError(
-                f"{origin}: line {lineno}: radius must be finite, got {row[1]!r}"
-            )
+            raise LayoutFormatError(f"{where}: n must be >= 1, got {n}")
+        values = []
+        for name, cell in zip(columns[1:], row[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise LayoutFormatError(f"{where}: bad {name} {cell!r}") from None
+            if not math.isfinite(value):
+                raise LayoutFormatError(f"{where}: {name} must be finite, got {cell!r}")
+            values.append(value)
         if n in entries:
-            raise LayoutFormatError(f"{origin}: line {lineno}: duplicate n={n}")
-        entries[n] = radius
-    return BestKnownTable(entries)
+            raise LayoutFormatError(f"{where}: duplicate n={n}")
+        entries[n] = tuple(values)
+    return entries
+
+
+def read_best_known(source) -> BestKnownTable:
+    entries = _read_table(source, ("n", "radius"))
+    return BestKnownTable({n: radius for n, (radius,) in entries.items()})
 
 
 def load_best_known() -> BestKnownTable:
@@ -335,25 +341,8 @@ class ImprovementRecord:
 
 
 def read_improvements(source) -> tuple[ImprovementRecord, ...]:
-    text, origin = _read_text(source)
-    rows = list(csv.reader(text.splitlines()))
-    if not rows or [cell.strip() for cell in rows[0]] != [
-        "n", "old_radius", "new_radius", "magnitude",
-    ]:
-        raise LayoutFormatError(f"{origin}: expected improvements header")
-    records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        try:
-            records.append(
-                ImprovementRecord(int(row[0]), float(row[1]), float(row[2]), float(row[3]))
-            )
-        except (ValueError, IndexError):
-            raise LayoutFormatError(
-                f"{origin}: line {lineno}: bad improvement row {row!r}"
-            ) from None
-    return tuple(records)
+    entries = _read_table(source, ("n", "old_radius", "new_radius", "magnitude"))
+    return tuple(ImprovementRecord(n, *values) for n, values in entries.items())
 
 
 def load_improvements() -> tuple[ImprovementRecord, ...]:

@@ -152,21 +152,17 @@ def line_search(
     x: np.ndarray,
     d: np.ndarray,
     u0: float,
-    g0: np.ndarray,
-) -> float:
-    """Backtracking step length along ``d`` from ``x``.
+    slope: float,
+) -> tuple[float, float]:
+    """Backtracking step length along ``d`` from ``x`` and the value there.
 
-    Starts at 1 and halves until the sufficient-decrease condition
-    U(x + lam*d) <= u0 + 1e-4 * lam * (g0 . d) holds, giving up after 50
-    halvings. Returns 0.0 on failure or when ``d`` is not a descent
-    direction; callers are expected to restart from steepest descent.
+    ``slope`` is the directional derivative g0 . d at ``x``. Starts at 1 and
+    halves until the sufficient-decrease condition
+    U(x + lam*d) <= u0 + 1e-4 * lam * slope holds, giving up after 50
+    halvings, then polishes the accepted step (see ``_refine``). Returns
+    (0.0, u0) on failure or when ``d`` is not a descent direction; callers
+    are expected to restart from steepest descent.
     """
-    slope = float(np.dot(np.asarray(g0, dtype=float), np.asarray(d, dtype=float)))
-    lam, _ = _backtrack(eval_fn, x, d, u0, slope)
-    return lam
-
-
-def _backtrack(eval_fn, x, d, u0, slope):
     if slope >= 0.0:
         return 0.0, u0
     lam = 1.0
@@ -347,7 +343,7 @@ def bfgs_minimize(
                 _reset_to_identity(state.inv_hessian)
             direction = -g if restarted else -(state.inv_hessian @ g)
             slope = float(np.dot(g, direction))
-            lam, accepted = _backtrack(trial_energy, x, direction, total, slope)
+            lam, accepted = line_search(trial_energy, x, direction, total, slope)
             if lam > 0.0:
                 break
         if lam == 0.0:

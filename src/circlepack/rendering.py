@@ -18,6 +18,8 @@ _FILL_VIOLATION = "#eba0a0"
 _STROKE = "#243b53"
 
 PADDING_FACTOR = 1.05
+# width and height of the picture in pixels
+SIZE = 640
 
 
 def _fmt(value: float) -> str:
@@ -28,7 +30,6 @@ def render_svg(
     layout: Layout,
     show_indices: bool = False,
     tolerance: float = DEFAULT_VERIFY_TOLERANCE,
-    size: int = 640,
 ) -> str:
     """Render ``layout`` as a standalone SVG document (returned as text).
 
@@ -47,7 +48,7 @@ def render_svg(
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
             f'viewBox="{_fmt(-pad)} {_fmt(-pad)} {_fmt(2 * pad)} {_fmt(2 * pad)}">'
         ),
         (

@@ -122,8 +122,8 @@ def global_search(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     # each check is written so that NaN fails too
-    if not radius >= 1.0:
-        raise ValueError(f"search radius must be >= 1, got {radius}")
+    if not 1.0 <= radius < math.inf:
+        raise ValueError(f"search radius must be finite and >= 1, got {radius}")
     if not time_limit > 0.0:
         raise ValueError(f"time limit must be positive, got {time_limit}")
     start = time.monotonic()
@@ -163,18 +163,14 @@ def global_search(
             break
         batch = basin_hop(outcome.layout, rng=rng, config=config)
         hops += 1
-        expired = False
         for member in batch.layouts:
             if time.monotonic() >= deadline:
-                expired = True
                 break
             hopped = optimize(member, at_radius=radius)
             if hopped.energy.total < best_total:
                 best_layout, best_total = hopped.layout, hopped.energy.total
             if hopped.status is OptimizeStatus.FEASIBLE:
                 return report(SolveStatus.FEASIBLE, hopped.layout)
-        if expired:
-            break
     if best_layout is None:
         best_layout = random_layout(n, radius, rng)
     return report(status, best_layout)
@@ -227,32 +223,22 @@ def container_adjust(
     r_upper = r_input
     best = source
     r_lower = None
-    i = 0
-    while True:
-        decrement = 1e-10 * 10.0**i
-        probe = max(r_upper - decrement, 1.0)
-        if probe >= r_upper:
-            # bottomed out at the unit-circle floor with no infeasible probe
-            return AdjustResult(layout=best, radius=r_upper, bracket_width=0.0, probes=probes)
+    while r_lower is None or r_upper - r_lower > RADIUS_RESOLUTION:
+        if r_lower is None:
+            # every probe so far was feasible, so ``probes`` counts them
+            probe = max(r_upper - 1e-10 * 10.0**probes, 1.0)
+            if probe >= r_upper:
+                # bottomed out at the unit-circle floor with no infeasible probe
+                return AdjustResult(layout=best, radius=r_upper, bracket_width=0.0, probes=probes)
+        else:
+            probe = 0.5 * (r_upper + r_lower)
+            if not (r_lower < probe < r_upper):
+                break
         outcome = reoptimize(probe)
         if outcome.status is OptimizeStatus.FEASIBLE:
-            r_upper = probe
-            best = outcome.layout
-            i += 1
-            continue
-        r_lower = probe
-        break
-
-    while r_upper - r_lower > RADIUS_RESOLUTION:
-        mid = 0.5 * (r_upper + r_lower)
-        if not (r_lower < mid < r_upper):
-            break
-        outcome = reoptimize(mid)
-        if outcome.status is OptimizeStatus.FEASIBLE:
-            r_upper = mid
-            best = outcome.layout
+            r_upper, best = probe, outcome.layout
         else:
-            r_lower = mid
+            r_lower = probe
     return AdjustResult(
         layout=best, radius=r_upper, bracket_width=r_upper - r_lower, probes=probes
     )
@@ -274,14 +260,14 @@ def minimize_radius(
     round that fails to shrink the radius by more than RADIUS_RESOLUTION
     ends the run (the layout is as compact as this search can make it);
     otherwise the reduced radius becomes the next search target. With no
-    feasible find at all the best stuck layout is reported as TIMEOUT, or
-    STUCK when the restart budget ran out first.
+    feasible find at all the last attempt's layout is reported at the start
+    radius, as TIMEOUT, or STUCK when the restart budget ran out first.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     # each check is written so that NaN fails too
-    if not start_radius >= 1.0:
-        raise ValueError(f"start radius must be >= 1, got {start_radius}")
+    if not 1.0 <= start_radius < math.inf:
+        raise ValueError(f"start radius must be finite and >= 1, got {start_radius}")
     if not (t0 > 0.0 and t1 > 0.0):
         raise ValueError(f"time limits must be positive, got t0={t0}, t1={t1}")
     if rng is None:
@@ -290,12 +276,10 @@ def minimize_radius(
     start = time.monotonic()
     deadline = start + float(t1)
     r_current = float(start_radius)
-    best_layout = None
-    best_radius = None
-    fallback = None
+    attempt = None
+    adjusted = None
     restarts = 0
     hops = 0
-    ran_out_of_restarts = False
 
     def report(status_, layout_, radius_):
         return SolveReport(
@@ -315,22 +299,19 @@ def minimize_radius(
         attempt = global_search(n, r_current, budget, rng, max_restarts=max_restarts, config=config)
         restarts += attempt.restarts
         hops += attempt.hops
-        if attempt.status is not SolveStatus.FEASIBLE:
-            fallback = attempt.layout
-            if attempt.status is SolveStatus.STUCK:
-                ran_out_of_restarts = True
+        if attempt.status is SolveStatus.STUCK:
+            break
+        if attempt.status is SolveStatus.FEASIBLE:
+            adjusted = container_adjust(attempt.layout, rng=rng, config=config)
+            if r_current - adjusted.radius <= RADIUS_RESOLUTION:
                 break
-            continue
-        adjusted = container_adjust(attempt.layout, rng=rng, config=config)
-        if best_radius is None or adjusted.radius < best_radius:
-            best_layout, best_radius = adjusted.layout, adjusted.radius
-        if r_current - adjusted.radius <= RADIUS_RESOLUTION:
-            return report(SolveStatus.FEASIBLE, adjusted.layout, adjusted.radius)
-        r_current = adjusted.radius
+            r_current = adjusted.radius
 
-    if best_radius is not None:
-        return report(SolveStatus.FEASIBLE, best_layout, best_radius)
-    if fallback is None:
-        fallback = random_layout(n, r_current, rng)
-    status = SolveStatus.STUCK if ran_out_of_restarts else SolveStatus.TIMEOUT
-    return report(status, fallback, float(start_radius))
+    # each round searches at the radius the previous adjustment reached and
+    # an adjustment never grows it, so the last adjustment is the best find;
+    # without one every attempt failed and the last says how and with what
+    if adjusted is not None:
+        return report(SolveStatus.FEASIBLE, adjusted.layout, adjusted.radius)
+    if attempt is None:
+        return report(SolveStatus.TIMEOUT, random_layout(n, r_current, rng), r_current)
+    return report(attempt.status, attempt.layout, r_current)

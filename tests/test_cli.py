@@ -59,6 +59,9 @@ def test_solve_usage_errors(capsys):
     # NaN used to pass the checks: a NaN radius crashed with exit 1 and a
     # NaN time limit ended the run at once with exit 2
     assert main(["solve", "--n", "2", "--radius", "nan"]) == EXIT_USAGE
+    # an infinite radius used to pass and crash inside random_layout, exit 1
+    assert main(["solve", "--n", "2", "--radius", "inf"]) == EXIT_USAGE
+    assert main(["bench", "--n", "2", "--radius", "inf", "--experiment", "modes"]) == EXIT_USAGE
     assert main(["solve", "--n", "2", "--radius", "2", "--t0", "nan"]) == EXIT_USAGE
     assert main(["improve", "--n", "2", "--radius", "2", "--t1", "nan"]) == EXIT_USAGE
     assert main(["solve", "--n", "2", "--radius", "2", "--max-restarts", "0"]) == EXIT_USAGE

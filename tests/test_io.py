@@ -14,6 +14,7 @@ from circlepack.layout_io import (
     Violation,
     format_decimal,
     parse_document,
+    read_improvements,
     serialize_document,
 )
 
@@ -182,6 +183,24 @@ def test_bundled_best_known_table():
     assert table.radius_for(100) == 11.0821497243
     radii = [radius for _, radius in table.items()]
     assert all(b > a for a, b in zip(radii, radii[1:]))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("130,nan,12.601774612,1e-3", "line 3: old_radius must be finite"),
+        ("130,12.602318936,inf,1e-3", "line 3: new_radius must be finite"),
+        ("0,12.602318936,12.601774612,1e-3", "line 3: n must be >= 1"),
+        ("126,12.602318936,12.601774612,1e-3", "line 3: duplicate n=126"),
+        ("130,12.602318936,12.601774612,1e-3,x", "line 3: expected 4 fields, got 5"),
+    ],
+    ids=["nan-radius", "inf-radius", "zero-n", "duplicate-n", "fifth-field"],
+)
+def test_read_improvements_rejects_malformed_rows(row, message):
+    # the rows read_best_known rejects; they used to load
+    text = f"n,old_radius,new_radius,magnitude\n126,12.417463955,12.417144417,1e-4\n{row}\n"
+    with pytest.raises(LayoutFormatError, match=message):
+        read_improvements(io.StringIO(text))
 
 
 def test_bundled_improvements():

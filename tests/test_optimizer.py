@@ -29,16 +29,17 @@ def quadratic(x):
 def test_line_search_full_step_on_easy_descent():
     x = np.array([1.0, 1.0])
     d = np.array([-1.0, -1.0])
-    lam = line_search(quadratic, x, d, quadratic(x), 2.0 * x)
+    lam, value = line_search(quadratic, x, d, quadratic(x), float(np.dot(2.0 * x, d)))
     assert 0.0 < lam <= 4.0
+    assert value == quadratic(x + lam * d)
     assert quadratic(x + lam * d) < quadratic(x)
 
 
 def test_line_search_rejects_ascent_direction():
     x = np.array([1.0, 0.0])
     d = np.array([1.0, 0.0])  # uphill
-    lam = line_search(quadratic, x, d, quadratic(x), 2.0 * x)
-    assert lam == 0.0
+    u0 = quadratic(x)
+    assert line_search(quadratic, x, d, u0, float(np.dot(2.0 * x, d))) == (0.0, u0)
 
 
 def test_line_search_backtracks_on_overshoot():
@@ -49,7 +50,7 @@ def test_line_search_backtracks_on_overshoot():
     x = np.array([1.0])
     d = np.array([-50.0])
     g = np.array([200.0])
-    lam = line_search(steep, x, d, steep(x), g)
+    lam, _ = line_search(steep, x, d, steep(x), float(np.dot(g, d)))
     assert lam > 0.0
     assert steep(x + lam * d) <= steep(x) + 1e-4 * lam * float(np.dot(g, d))
 

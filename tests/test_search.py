@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from circlepack import search
 from circlepack.geometry import Layout, Rng, is_feasible, random_layout
 from circlepack.search import (
     HOP_ITERATION_RANGE,
@@ -85,14 +87,38 @@ def test_global_search_timeout():
     assert report.status is SolveStatus.TIMEOUT
 
 
+def test_global_search_timeout_inside_hop_batch(monkeypatch):
+    # a fake clock that passes the deadline once the first hop member has
+    # been reoptimized: the batch stops there and so does the search
+    now = [0.0]
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    real = search.bfgs_minimize
+    radii = []
+
+    def descend(layout, **kwargs):
+        radii.append(kwargs["radius"])
+        outcome = real(layout, **kwargs)
+        if kwargs["radius"] is not None:
+            now[0] = 11.0
+        return outcome
+
+    monkeypatch.setattr(search, "bfgs_minimize", descend)
+    # two unit circles cannot fit at R = 1.9, so no descent ends feasible
+    report = global_search(2, 1.9, 10.0, rng=Rng(1))
+    assert report.status is SolveStatus.TIMEOUT
+    assert (report.restarts, report.hops) == (1, 1)
+    assert radii == [None, 1.9]
+    assert not is_feasible(report.layout)
+
+
 @pytest.mark.parametrize(
     "radius, time_limit",
-    [(0.5, 10.0), (math.nan, 10.0), (3.0, 0.0), (3.0, math.nan)],
-    ids=["small-radius", "nan-radius", "zero-time", "nan-time"],
+    [(0.5, 10.0), (math.nan, 10.0), (math.inf, 10.0), (3.0, 0.0), (3.0, math.nan)],
+    ids=["small-radius", "nan-radius", "inf-radius", "zero-time", "nan-time"],
 )
 def test_global_search_rejects_bad_arguments(radius, time_limit):
-    # the check names the argument: a NaN radius used to fail later, inside
-    # random_layout, and a NaN time limit never expired
+    # the check names the argument: a NaN or infinite radius used to fail
+    # later, inside random_layout, and a NaN time limit never expired
     with pytest.raises(ValueError, match="radius must|time limit must"):
         global_search(2, radius, time_limit, rng=Rng(0))
 
@@ -155,10 +181,39 @@ def test_minimize_radius_timeout_keeps_start_radius():
     assert report.radius == 7.0
 
 
+def test_minimize_radius_stuck_reports_the_attempt():
+    # two unit circles cannot fit at R = 1.9: the one restart and its hop
+    # batch fail and the run reports that attempt's layout as STUCK
+    report = minimize_radius(2, 1.9, t0=1e6, t1=1e6, rng=Rng(2), max_restarts=1)
+    attempt = global_search(2, 1.9, 1e6, rng=Rng(2), max_restarts=1)
+    assert report.status is SolveStatus.STUCK
+    assert report.radius == 1.9
+    assert (report.restarts, report.hops) == (1, 1)
+    assert np.array_equal(report.layout.centers, attempt.layout.centers)
+    assert not is_feasible(report.layout)
+
+
+@pytest.mark.parametrize("n, start_radius", [(5, 3.0), (9, 3.7)])
+def test_minimize_radius_feasible_under_restart_budget(n, start_radius):
+    # a feasible find is adjusted; the run then stops, by a round that no
+    # longer shrinks the radius or by a later attempt that runs out of
+    # restarts, and reports the adjusted layout
+    report = minimize_radius(n, start_radius, t0=1e6, t1=1e6, rng=Rng(n), max_restarts=1)
+    assert report.status is SolveStatus.FEASIBLE
+    assert report.layout.radius == report.radius <= start_radius
+    assert is_feasible(report.layout)
+
+
 @pytest.mark.parametrize(
     "start_radius, t0, t1",
-    [(0.5, 1.0, 1.0), (math.nan, 1.0, 1.0), (3.0, math.nan, 1.0), (3.0, 1.0, math.nan)],
-    ids=["small-radius", "nan-radius", "nan-t0", "nan-t1"],
+    [
+        (0.5, 1.0, 1.0),
+        (math.nan, 1.0, 1.0),
+        (math.inf, 1.0, 1.0),
+        (3.0, math.nan, 1.0),
+        (3.0, 1.0, math.nan),
+    ],
+    ids=["small-radius", "nan-radius", "inf-radius", "nan-t0", "nan-t1"],
 )
 def test_minimize_radius_rejects_bad_arguments(start_radius, t0, t1):
     with pytest.raises(ValueError, match="radius must|time limits must"):
