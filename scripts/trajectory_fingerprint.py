@@ -1,0 +1,97 @@
+"""Print one sha256 over the trajectories of a fixed set of solver runs.
+
+Two checkouts that print the same hash took the same steps, bit for bit:
+every iterate, step length, line-search value and evaluation count of a
+fixed set of descents, and the reports of a few restart-budgeted
+``minimize_radius`` runs. Use it to show that a refactor or a speed-up left
+every trajectory unchanged. Run from the root of a source checkout:
+
+    python scripts/trajectory_fingerprint.py
+
+The package is imported from this checkout's ``src`` directory. The bits
+depend on the numpy and BLAS build, so compare hashes taken on one machine
+only. Takes about 5 s on a 2-vCPU virtual machine.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import struct
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+import numpy as np  # noqa: E402
+
+from circlepack import minimize_radius  # noqa: E402
+from circlepack.geometry import Layout, Rng, random_layout  # noqa: E402
+from circlepack.optimizer import bfgs_minimize  # noqa: E402
+
+DESCENT_SIZES = (1, 2, 3, 5, 8, 12, 16, 20, 25, 30, 40, 50, 60)
+# (mode, container_margin, pair_margin); infinite margins list every term
+SETTINGS = (
+    ("full", 1.0, 1.0),
+    ("local", 1.0, 1.0),
+    ("local", 0.1, 0.1),
+    ("local", math.inf, math.inf),
+)
+# (n, start radius, restart budget)
+RADIUS_RUNS = ((2, 1.9, 1), (3, 3.0, 3), (5, 3.0, 1), (7, 3.2, 2), (9, 3.7, 1), (12, 4.3, 2))
+
+
+def descent_starts():
+    """Fixed starts: random layouts at two densities, plus escaped circles."""
+    for n in DESCENT_SIZES:
+        for density in (0.72, 0.84):
+            yield f"n={n} density={density}", random_layout(
+                n, 1.0 + math.sqrt(n / density), Rng(n)
+            )
+    # one circle far outside the wall, alone and among others
+    yield "escaped alone", Layout(np.array([[5.0, 0.0]]), 3.0)
+    crowd = random_layout(12, 1.0 + math.sqrt(12 / 0.72), Rng(3)).centers.copy()
+    crowd[0] = (9.0, -2.0)
+    yield "escaped in a crowd", Layout(crowd, 1.0 + math.sqrt(12 / 0.72))
+
+
+def feed(digest, *items) -> None:
+    for item in items:
+        if isinstance(item, np.ndarray):
+            digest.update(np.ascontiguousarray(item, dtype=float).tobytes())
+        elif isinstance(item, float):
+            digest.update(struct.pack("<d", item))
+        else:
+            digest.update(repr(item).encode())
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    descents = 0
+    for label, layout in descent_starts():
+        for mode, container_margin, pair_margin in SETTINGS:
+
+            def record(state, rec):
+                feed(digest, state.iterate, rec.energy_before, rec.energy_after,
+                     rec.step_length, rec.restarted, rec.index_age)
+
+            outcome = bfgs_minimize(
+                layout, mode=mode, rng=Rng(0), container_margin=container_margin,
+                pair_margin=pair_margin, callback=record,
+            )
+            feed(digest, label, mode, outcome.status.value, outcome.iterations,
+                 outcome.evaluations, outcome.energy.total, outcome.energy.max_pair_depth,
+                 outcome.energy.max_container_depth, outcome.layout.centers)
+            descents += 1
+    for n, radius, budget in RADIUS_RUNS:
+        report = minimize_radius(n, radius, t0=1e6, t1=1e6, rng=Rng(n), max_restarts=budget)
+        feed(digest, n, report.status.value, report.radius, report.restarts, report.hops,
+             report.layout.radius, report.layout.centers)
+    print(f"descents={descents} radius_runs={len(RADIUS_RUNS)}")
+    print(f"sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,6 +20,12 @@ DEFAULT_PAIR_MARGIN = 1.0
 
 _COINCIDENT_JITTER = 1e-8
 
+# a block of line-search trials holds at most this many row-by-term depths
+# (32 KiB per array): a 1,500-term index at n = 400 gets two-row blocks,
+# while the hundred-odd terms a local index lists at n <= 60 never split a
+# chunk
+_TRIAL_ELEMENTS = 4096
+
 
 @dataclass(eq=False)
 class NeighborIndex:
@@ -64,10 +70,52 @@ def full_index(n: int) -> NeighborIndex:
     return NeighborIndex(pair_i, pair_j, np.arange(n))
 
 
-def index_energy(centers: np.ndarray, radius: float, index: NeighborIndex) -> float:
-    """Energy over the index's listed terms only (no gradient)."""
-    total, _, _ = evaluate_pairs(centers, radius, index.pair_i, index.pair_j, index.container_ids)
-    return total
+def index_energy(
+    x: np.ndarray,
+    d: np.ndarray,
+    steps: np.ndarray,
+    limits: np.ndarray,
+    radius: float,
+    index: NeighborIndex,
+) -> tuple[int, float]:
+    """Energy over the index's listed terms at ``x + step*d``, step by step.
+
+    ``x`` and ``d`` are flat 2n vectors (x1, y1, ..., xn, yn); ``steps``
+    and ``limits`` are equally long and not empty. Row k is the point
+    ``x + steps[k]*d``. The rows are walked in order up to the first one
+    whose energy is at most ``limits[k]``; returns ``(k, energy of row k)``,
+    or ``(len(steps), energy of the last row)`` when no row qualifies.
+
+    Every row's energy has the bits ``geometry.evaluate_pairs`` gives at
+    that one point. Trial points, gathers, ``hypot`` and ``maximum`` are
+    elementwise, so they are computed for a block of rows in one pass. The
+    sums are not: BLAS sums a vector in an order set by its length, so each
+    row's active depths are compacted and go through the same ``np.dot``
+    that ``evaluate_pairs`` takes; summing a row with its zero depths left
+    in would change the last bits. A block holds at most _TRIAL_ELEMENTS
+    row-by-term depths, so a wide index (about 1,500 terms at n = 400) is
+    evaluated a few rows at a time and memory stays flat.
+    """
+    n = x.size // 2
+    terms = index.pair_i.size + index.container_ids.size
+    block = max(1, _TRIAL_ELEMENTS // max(terms, 1))
+    for start in range(0, steps.size, block):
+        lam = steps[start : start + block]
+        centers = (x + lam[:, None] * d).reshape(lam.size, n, 2)
+        # take gathers along the circle axis faster than fancy indexing
+        delta = centers.take(index.pair_i, axis=1) - centers.take(index.pair_j, axis=1)
+        pair_depth = np.maximum(2.0 - np.hypot(delta[..., 0], delta[..., 1]), 0.0)
+        walls = centers.take(index.container_ids, axis=1)
+        wall_depth = np.maximum(np.hypot(walls[..., 0], walls[..., 1]) + 1.0 - radius, 0.0)
+        pair_active = pair_depth > 0.0
+        wall_active = wall_depth > 0.0
+        for k in range(lam.size):
+            p = pair_depth[k][pair_active[k]]
+            c = wall_depth[k][wall_active[k]]
+            value = 2.0 * float(np.dot(p, p)) + float(np.dot(c, c))
+            if value <= limits[start + k]:
+                return start + k, value
+    return steps.size, value
 
 
 def gradient_eval(

@@ -26,6 +26,13 @@ def index_of(
     return _build_index_raw(layout.centers, layout.radius, container_margin, pair_margin)
 
 
+def energy_at(centers, radius, index):
+    """Listed-term energy at one point: a one-step kernel call at step 0."""
+    x = centers.reshape(-1)
+    _, value = index_energy(x, np.zeros_like(x), np.zeros(1), (math.inf,), radius, index)
+    return value
+
+
 def test_build_index_matches_bruteforce_predicates():
     layout = dense_layout(25, 9)
     index = index_of(layout, container_margin=1.0, pair_margin=1.0)
@@ -70,8 +77,8 @@ def test_index_energy_bitwise_equal_to_total_energy():
     for seed in range(20):
         layout = dense_layout(int(Rng(seed).integers(2, 40)), seed)
         full = total_energy(layout).total
-        fresh = index_energy(layout.centers, layout.radius, index_of(layout))
-        everything = index_energy(layout.centers, layout.radius, full_index(layout.n))
+        fresh = energy_at(layout.centers, layout.radius, index_of(layout))
+        everything = energy_at(layout.centers, layout.radius, full_index(layout.n))
         assert fresh == full
         assert everything == full
 
@@ -82,7 +89,7 @@ def test_gradient_eval_energy_consistency():
     total, max_pair, max_cont, grad, centers = gradient_eval(
         layout.centers, layout.radius, index
     )
-    assert total == index_energy(layout.centers, layout.radius, index)
+    assert total == energy_at(layout.centers, layout.radius, index)
     assert grad.shape == (30, 2)
     assert np.array_equal(centers, layout.centers)
 

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import circlepack as cp
-from circlepack import optimizer, search
+from circlepack import neighbors, optimizer, search
 from circlepack.geometry import (
     FEASIBLE_ENERGY,
     Layout,
     Rng,
+    evaluate_pairs,
     is_feasible,
     random_layout,
     total_energy,
@@ -26,10 +29,76 @@ def quadratic(x):
     return float(np.dot(x, x))
 
 
+def kernel_of(fn, evaluated=None):
+    """Trial kernel with the contract of ``neighbors.index_energy`` over a
+    function of one point, evaluating one step at a time: walks the steps
+    in order and stops at the first value at most its limit. Appends one
+    entry to ``evaluated`` per point evaluated."""
+
+    def kernel(x, d, steps, limits):
+        for k, (lam, limit) in enumerate(zip(steps, limits)):
+            value = fn(x + lam * d)
+            if evaluated is not None:
+                evaluated.append(lam)
+            if value <= limit:
+                return k, value
+        return len(steps), value
+
+    return kernel
+
+
+def listed_energy(radius, index):
+    """The index's energy at one flat point, as ``evaluate_pairs`` gives it."""
+
+    def energy(point):
+        return evaluate_pairs(
+            point.reshape(-1, 2), radius, index.pair_i, index.pair_j, index.container_ids
+        )[0]
+
+    return energy
+
+
+def reference_index_energy(x, d, steps, limits, radius, index):
+    """Reference: the trial kernel as one ``evaluate_pairs`` call per step,
+    which is what the optimizer ran for every trial before the chunks."""
+    return kernel_of(listed_energy(radius, index))(x, d, steps, limits)
+
+
+def reference_line_search(eval_fn, x, d, u0, slope):
+    """Reference: the one-step-at-a-time backtracking search and its
+    quadratic polish, each trial its own one-step kernel call."""
+
+    def trial(lam):
+        return eval_fn(x, d, np.array([lam]), (math.inf,))[1]
+
+    if slope >= 0.0:
+        return 0.0, u0
+    lam = 1.0
+    for _ in range(optimizer.MAX_HALVINGS + 1):
+        value = trial(lam)
+        if value <= u0 + optimizer.ARMIJO_SLOPE * lam * slope:
+            break
+        lam *= 0.5
+    else:
+        return 0.0, u0
+    for _ in range(optimizer.REFINE_ROUNDS):
+        denom = value - u0 - slope * lam
+        if denom <= 0.0:
+            break
+        star = -slope * lam * lam / (2.0 * denom)
+        if not (0.0 < star <= optimizer.REFINE_CAP * lam) or star == lam:
+            break
+        candidate = trial(star)
+        if candidate >= value:
+            break
+        lam, value = star, candidate
+    return lam, value
+
+
 def test_line_search_full_step_on_easy_descent():
     x = np.array([1.0, 1.0])
     d = np.array([-1.0, -1.0])
-    lam, value = line_search(quadratic, x, d, quadratic(x), float(np.dot(2.0 * x, d)))
+    lam, value = line_search(kernel_of(quadratic), x, d, quadratic(x), float(np.dot(2.0 * x, d)))
     assert 0.0 < lam <= 4.0
     assert value == quadratic(x + lam * d)
     assert quadratic(x + lam * d) < quadratic(x)
@@ -39,7 +108,7 @@ def test_line_search_rejects_ascent_direction():
     x = np.array([1.0, 0.0])
     d = np.array([1.0, 0.0])  # uphill
     u0 = quadratic(x)
-    assert line_search(quadratic, x, d, u0, float(np.dot(2.0 * x, d))) == (0.0, u0)
+    assert line_search(kernel_of(quadratic), x, d, u0, float(np.dot(2.0 * x, d))) == (0.0, u0)
 
 
 def test_line_search_backtracks_on_overshoot():
@@ -50,9 +119,106 @@ def test_line_search_backtracks_on_overshoot():
     x = np.array([1.0])
     d = np.array([-50.0])
     g = np.array([200.0])
-    lam, _ = line_search(steep, x, d, steep(x), float(np.dot(g, d)))
+    lam, _ = line_search(kernel_of(steep), x, d, steep(x), float(np.dot(g, d)))
     assert lam > 0.0
     assert steep(x + lam * d) <= steep(x) + 1e-4 * lam * float(np.dot(g, d))
+
+
+def chunked_and_sequential(x, d, u0, slope, radius, index):
+    """(lam, value, trials) of the chunked search with the kernel and of the
+    reference search with the reference kernel. The chunked side counts
+    trials as the optimizer does; the reference side counts the points it
+    actually evaluates."""
+    counts = []
+
+    def kernel(origin, direction, steps, limits):
+        k, value = neighbors.index_energy(origin, direction, steps, limits, radius, index)
+        counts.append(min(k + 1, len(steps)))
+        return k, value
+
+    got = line_search(kernel, x, d, u0, slope)
+    evaluated = []
+    want = reference_line_search(
+        kernel_of(listed_energy(radius, index), evaluated), x, d, u0, slope
+    )
+    return (*got, sum(counts)), (*want, len(evaluated))
+
+
+def same_bits(a, b):
+    return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**31),
+    density=st.floats(0.3, 0.95),
+    margin=st.sampled_from([0.0, 0.5, 1.0, math.inf]),
+    log_scale=st.floats(-12.0, 18.0),
+    noise=st.floats(0.0, 2.0),
+    lowered=st.sampled_from([0.0, 1e-13, 1e-6]),
+)
+@example(n=1, seed=0, density=0.5, margin=1.0, log_scale=1.0, noise=0.0, lowered=0.0)
+@example(n=30, seed=1, density=0.9, margin=1.0, log_scale=0.0, noise=3.0, lowered=0.0)
+def test_line_search_matches_sequential_search(
+    n, seed, density, margin, log_scale, noise, lowered
+):
+    # a perturbed steepest-descent direction scaled over 30 orders of
+    # magnitude makes the search accept anywhere from the unit step to the
+    # last halving, fail, or start uphill; lowering u0 by a relative 1e-13
+    # (how close stall-tail values sit to the Armijo limit) or 1e-6 makes
+    # late acceptances and failures common. n = 1 lists no pair
+    radius = 1.0 + math.sqrt(n / density)
+    layout = random_layout(n, radius, Rng(seed))
+    index = neighbors._build_index_raw(layout.centers, radius, margin, margin)
+    u0, _, _, grad, centers = neighbors.gradient_eval(layout.centers, radius, index, Rng(seed))
+    x = centers.reshape(-1)
+    g = grad.reshape(-1)
+    rng = np.random.default_rng(seed)
+    d = -(g + noise * float(np.linalg.norm(g)) * rng.normal(size=x.size))
+    norm = float(np.linalg.norm(d))
+    if norm > 0.0:
+        d *= 10.0**log_scale / norm
+    u0 *= 1.0 - lowered
+    got, want = chunked_and_sequential(x, d, u0, float(np.dot(g, d)), radius, index)
+    assert same_bits(got, want)
+
+
+def trap(n, accept_row):
+    """Line whose sufficient-decrease test first passes at ``accept_row``.
+
+    Circle 0 starts 1 inside the wall and moves straight out by
+    2**accept_row: steps 2**-j with j < accept_row push it 2**(accept_row -
+    j) - 1 >= 1 past the wall (energy >= 1 against limits just under u0 =
+    0.5), steps from 2**-accept_row on keep it inside (energy 0). The other
+    circles sit 3 apart on a grid and drift without touching anything.
+    """
+    side = math.ceil(math.sqrt(n))
+    radius = 10.0 * side
+    grid = 3.0 * np.array([(i % side, i // side + 1) for i in range(n)], dtype=float)
+    grid[0] = (radius - 2.0, 0.0)
+    d = 0.3 * np.random.default_rng(accept_row).uniform(-1.0, 1.0, size=(n, 2))
+    d[0] = (2.0**accept_row, 0.0)
+    return grid.reshape(-1), d.reshape(-1), radius, neighbors.full_index(n)
+
+
+@pytest.mark.parametrize("n", [2, 40], ids=["two-circles", "cap-binds"])
+@pytest.mark.parametrize("accept_row", [0, 1, 2, 3, 6, 7, 14, 15, 30, 31, 50, None])
+def test_line_search_chunk_boundaries(n, accept_row):
+    # rows 0, 1-2, 3-6, 7-14, 15-30 and 31-50 are the chunks; None never
+    # passes (u0 = 0 puts every limit below zero) and costs all 51 trials.
+    # At n = 40 every pair is listed: 820 terms make four-row blocks, so
+    # the chunks of 8, 16 and 20 steps are split
+    x, d, radius, index = trap(n, 0 if accept_row is None else accept_row)
+    if n == 40:
+        assert neighbors._TRIAL_ELEMENTS // (index.pair_i.size + index.container_ids.size) < 8
+    u0 = 0.0 if accept_row is None else 0.5
+    got, want = chunked_and_sequential(x, d, u0, -1.0, radius, index)
+    assert same_bits(got, want)
+    if accept_row is None:
+        assert got == (0.0, 0.0, optimizer.MAX_HALVINGS + 1)
+    else:
+        assert got == (2.0**-accept_row, 0.0, accept_row + 1)
 
 
 def test_update_inverse_hessian_matches_dense_formula():
@@ -163,6 +329,62 @@ def test_search_with_restarts_matches_allocating_update(monkeypatch):
     want, want_steps = run()
     assert got_steps == want_steps
     assert got.status is want.status
+    assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
+
+
+def descend_recorded(layout, **options):
+    steps = []
+
+    def record(state, rec):
+        steps.append((state.iterate.tobytes(), rec.energy_after, rec.step_length, rec.restarted))
+
+    outcome = bfgs_minimize(layout, callback=record, **options)
+    return outcome, steps
+
+
+def use_sequential_line_search(monkeypatch):
+    monkeypatch.setattr(optimizer, "line_search", reference_line_search)
+    monkeypatch.setattr(optimizer, "index_energy", reference_index_energy)
+
+
+def test_bfgs_trajectory_matches_sequential_line_search(monkeypatch):
+    n = 60
+    layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(0))
+    got, got_steps = descend_recorded(layout, mode="local", rng=Rng(0))
+    use_sequential_line_search(monkeypatch)
+    want, want_steps = descend_recorded(layout, mode="local", rng=Rng(0))
+    assert got_steps == want_steps
+    assert (got.status, got.iterations, got.evaluations) == (
+        want.status, want.iterations, want.evaluations
+    )
+    assert got.energy == want.energy
+    assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
+
+
+def test_search_matches_sequential_line_search(monkeypatch):
+    # n = 16 takes hop batches, whose settles run 50-100 step descents in
+    # a shrunken container and stall in long backtracking tails
+    descend = optimizer.bfgs_minimize
+
+    def run():
+        descents = []
+
+        def recorded(*args, **kwargs):
+            outcome, steps = descend_recorded(*args, **kwargs)
+            descents.append((outcome.status, outcome.iterations, outcome.evaluations, steps))
+            return outcome
+
+        monkeypatch.setattr(optimizer, "bfgs_minimize", recorded)
+        monkeypatch.setattr(search, "bfgs_minimize", recorded)
+        report = cp.global_search(16, cp.load_best_known().radius_for(16), 600.0, Rng(0), max_restarts=8)
+        return report, descents
+
+    got, got_descents = run()
+    assert got.hops >= 1
+    use_sequential_line_search(monkeypatch)
+    want, want_descents = run()
+    assert got_descents == want_descents
+    assert (got.status, got.restarts, got.hops) == (want.status, want.restarts, want.hops)
     assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
 
 
