@@ -3,26 +3,33 @@
 Two checkouts that print the same hash took the same steps, bit for bit:
 every iterate, step length, line-search value and evaluation count of a
 fixed set of descents, and the reports of a few restart-budgeted
-``minimize_radius`` runs. Use it to show that a refactor or a speed-up left
-every trajectory unchanged. Run from the root of a source checkout:
+``minimize_radius`` runs. Two local-mode descents at n = 150 and 400 cover
+the cell-grid neighbour scan and the large inverse-Hessian update. Use it
+to show that a refactor or a speed-up left every trajectory unchanged. Run
+from the root of a source checkout:
 
     python scripts/trajectory_fingerprint.py
 
 The package is imported from this checkout's ``src`` directory. The bits
 depend on the numpy and BLAS build, so compare hashes taken on one machine
-only. Takes about 5 s on a 2-vCPU virtual machine.
+only; like ``perfbench/run.py`` the script runs BLAS on one thread. Takes
+about 10 s on a 2-vCPU virtual machine.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
+# the thread count must be set before numpy loads BLAS
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 import numpy as np  # noqa: E402
 
@@ -31,6 +38,9 @@ from circlepack.geometry import Layout, Rng, random_layout  # noqa: E402
 from circlepack.optimizer import bfgs_minimize  # noqa: E402
 
 DESCENT_SIZES = (1, 2, 3, 5, 8, 12, 16, 20, 25, 30, 40, 50, 60)
+# local mode with the default margins only, at the density of perfbench's
+# descent-large workload
+LARGE_SIZES = (150, 400)
 # (mode, container_margin, pair_margin); infinite margins list every term
 SETTINGS = (
     ("full", 1.0, 1.0),
@@ -66,24 +76,31 @@ def feed(digest, *items) -> None:
             digest.update(repr(item).encode())
 
 
+def descend(digest, label, layout, mode, container_margin, pair_margin) -> None:
+    def record(state, rec):
+        feed(digest, state.iterate, rec.energy_before, rec.energy_after,
+             rec.step_length, rec.restarted, rec.index_age)
+
+    outcome = bfgs_minimize(
+        layout, mode=mode, rng=Rng(0), container_margin=container_margin,
+        pair_margin=pair_margin, callback=record,
+    )
+    feed(digest, label, mode, outcome.status.value, outcome.iterations,
+         outcome.evaluations, outcome.energy.total, outcome.energy.max_pair_depth,
+         outcome.energy.max_container_depth, outcome.layout.centers)
+
+
 def main() -> int:
     digest = hashlib.sha256()
     descents = 0
     for label, layout in descent_starts():
-        for mode, container_margin, pair_margin in SETTINGS:
-
-            def record(state, rec):
-                feed(digest, state.iterate, rec.energy_before, rec.energy_after,
-                     rec.step_length, rec.restarted, rec.index_age)
-
-            outcome = bfgs_minimize(
-                layout, mode=mode, rng=Rng(0), container_margin=container_margin,
-                pair_margin=pair_margin, callback=record,
-            )
-            feed(digest, label, mode, outcome.status.value, outcome.iterations,
-                 outcome.evaluations, outcome.energy.total, outcome.energy.max_pair_depth,
-                 outcome.energy.max_container_depth, outcome.layout.centers)
+        for settings in SETTINGS:
+            descend(digest, label, layout, *settings)
             descents += 1
+    for n in LARGE_SIZES:
+        layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(n))
+        descend(digest, f"n={n}", layout, "local", 1.0, 1.0)
+        descents += 1
     for n, radius, budget in RADIUS_RUNS:
         report = minimize_radius(n, radius, t0=1e6, t1=1e6, rng=Rng(n), max_restarts=budget)
         feed(digest, n, report.status.value, report.radius, report.restarts, report.hops,

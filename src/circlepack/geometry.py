@@ -109,6 +109,95 @@ def all_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pair_i, pair_j
 
 
+# below this many circles listing all pairs is cheaper than sorting a grid.
+# The measured crossover of the neighbour-index rebuild on a 2-vCPU virtual
+# machine, mean over 8 random layouts at density 0.72 ("crossover" in
+# BENCH_pr8_cell_grid.json): all pairs 34 us against grid 101 us at n = 20,
+# 70 against 106 at n = 44, 110 against 113 at n = 56, then 114 against 110
+# at n = 60 and 140 against 129 at n = 64. Replaying the rebuilds that
+# container_adjust makes on a stored n = 60 layout, the grid is no slower
+# (median of three runs 130 against 144 us per call).
+_GRID_MIN_CIRCLES = 60
+# relative padding of the cell side over the reach, and the largest cell
+# coordinate the grid accepts; the docstring of candidate_pairs shows why
+# these two together make the grid list a superset
+_CELL_PADDING = 1e-9
+_MAX_CELL = 2.0**22
+
+
+def candidate_pairs(centers: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), i < j lexicographic, of a superset of the pairs
+    of ``centers`` (shape (n, 2)) closer than ``reach``.
+
+    Every pair that a caller's predicate keeps must lie at most about
+    ``reach`` apart, up to a few rounding steps: the pair scan of
+    ``neighbors._build_index_raw`` (reach 2 + pair margin), the active
+    pairs of ``total_energy`` (reach 2) and the prefilter of
+    ``layout_io.verify_layout`` (reach 2 + its slack). Callers apply their
+    own predicate to the candidates. The candidates come in the order of
+    ``all_pair_indices``, so the pairs a predicate keeps come out in the
+    same order as from all pairs, and every sum over them (``np.dot``, the
+    verdict's scan) sees the same vector and keeps its bits.
+
+    The circles are sorted into square cells of side s = reach * (1 +
+    1e-9), keyed by (floor(x/s), floor(y/s)); each circle is paired with
+    the later circles of its own cell and every circle of the four forward
+    cells (a half stencil), found by ``searchsorted`` on the sorted keys.
+    No dense grid is allocated. Each pair is listed once, and one sort of
+    the keys i * 2**32 + j puts the candidates in lexicographic order.
+
+    Why a superset, rounding included: the roundings of the subtraction,
+    the hypot and the predicate leave the exact coordinate differences of
+    a kept pair at most reach * (1 + 10u), u = 2**-53, which is less than
+    s * (1 - 9.9e-10). Division by s and rounding are monotone and every
+    integer up to 2**53 is a double, so a computed cell coordinate
+    fl(x/s) reaches the integer k only when
+    x/s is at least k minus half the spacing of the doubles at k. Two
+    cells two apart would need x/s values more than 1 - 2**-31 apart when
+    every |fl(x/s)| is at most 2**22, which the padding rules out: the
+    two circles share a cell or sit in neighbouring ones.
+
+    Falls back to the cached ``all_pair_indices(n)`` when n is below
+    _GRID_MIN_CIRCLES, when ``reach`` is not positive and finite or a
+    coordinate is not finite, and when a cell coordinate exceeds 2**22 in
+    magnitude (circles far outside the container), where the argument
+    above no longer holds. The choice depends only on the input.
+    """
+    n = centers.shape[0]
+    if n < _GRID_MIN_CIRCLES or not (0.0 < reach < math.inf):
+        return all_pair_indices(n)
+    scaled = centers / (reach * (1.0 + _CELL_PADDING))
+    # written so that NaN falls back too
+    if not np.abs(scaled).max() <= _MAX_CELL:
+        return all_pair_indices(n)
+    cx = np.floor(scaled[:, 0])
+    cy = np.floor(scaled[:, 1])
+    cx -= cx.min()
+    cy -= cy.min()
+    # one spare row keeps cell (x + 1, y - 1) of the bottom row and cell
+    # (x, y + 1) of the top row empty instead of wrapping into the next
+    # column; every key is an integer below 2**48, exact in a double
+    width = int(cy.max()) + 2
+    keys = (cx * width + cy).astype(np.int64)
+    order = np.argsort(keys)
+    keys = keys[order]
+    # the half stencil is two runs of keys: the own cell (circles after
+    # this one) with the cell above it, and the three cells of the next
+    # column, (x + 1, y - 1) to (x + 1, y + 1)
+    targets = np.concatenate((keys + 2, keys + (width - 1), keys + (width + 2)))
+    bounds = np.searchsorted(keys, targets)
+    starts = np.concatenate((np.arange(1, n + 1), bounds[n : 2 * n]))
+    counts = np.concatenate((bounds[:n], bounds[2 * n :])) - starts
+    # expand the runs [start, start + count) of the sorted order
+    first = np.repeat(np.concatenate((order, order)), counts)
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    second = order[np.arange(shift.size) + shift]
+    # each pair appears once, so sorting i * 2**32 + j gives the order of
+    # all_pair_indices
+    pair_keys = np.sort((np.minimum(first, second) << 32) | np.maximum(first, second))
+    return pair_keys >> 32, pair_keys & 0xFFFFFFFF
+
+
 def evaluate_pairs(
     centers: np.ndarray,
     radius: float,
@@ -175,8 +264,13 @@ def evaluate_pairs(
 
 
 def total_energy(layout: Layout) -> Energy:
-    """Total elastic energy of a layout over all pairs and container terms."""
-    pair_i, pair_j = all_pair_indices(layout.n)
+    """Total elastic energy of a layout over all pairs and container terms.
+
+    Only pairs closer than 2 overlap, so the pairs come from
+    ``candidate_pairs`` with reach 2; the pairs it leaves out have depth
+    zero and change neither the sum nor the maxima.
+    """
+    pair_i, pair_j = candidate_pairs(layout.centers, 2.0)
     total, max_pair, max_cont = evaluate_pairs(
         layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n)
     )

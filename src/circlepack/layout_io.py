@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import FEASIBLE_ENERGY, Layout, all_pair_indices, total_energy
+from .geometry import FEASIBLE_ENERGY, Layout, candidate_pairs, total_energy
 
 DEFAULT_VERIFY_TOLERANCE = 1e-9
 MIN_SIGNIFICANT_DIGITS = 12
@@ -388,9 +388,10 @@ def verify_layout(doc, tolerance: float = DEFAULT_VERIFY_TOLERANCE) -> Verificat
     All distances are recomputed from scratch; the verdict lists every
     constraint whose overlap depth exceeds ``tolerance``. Every wall term
     is checked with ``math.hypot``. numpy picks the pairs less than
-    2 + 1e-9 apart, and only those are checked with ``math.hypot``, in
-    lexicographic order, so the verdict and every depth in it are the ones
-    a ``math.hypot`` scan of every pair would give.
+    2 + 1e-9 apart from the candidates of ``geometry.candidate_pairs``,
+    and only those are checked with ``math.hypot``, in lexicographic
+    order, so the verdict and every depth in it are the ones a
+    ``math.hypot`` scan of every pair would give.
     """
     if isinstance(doc, Layout):
         layout = doc
@@ -413,7 +414,7 @@ def verify_layout(doc, tolerance: float = DEFAULT_VERIFY_TOLERANCE) -> Verificat
             max_container = max(max_container, depth)
             if depth > tolerance:
                 violations.append(Violation("container", i, None, depth))
-    pair_i, pair_j = all_pair_indices(n)
+    pair_i, pair_j = candidate_pairs(centers, 2.0 + _PAIR_CANDIDATE_SLACK)
     delta = centers[pair_i] - centers[pair_j]
     close = np.hypot(delta[:, 0], delta[:, 1]) < 2.0 + _PAIR_CANDIDATE_SLACK
     for i, j in zip(pair_i[close].tolist(), pair_j[close].tolist()):

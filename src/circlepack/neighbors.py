@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Energy, Layout, Rng, all_pair_indices, evaluate_pairs
+from .geometry import Energy, Layout, Rng, all_pair_indices, candidate_pairs, evaluate_pairs
 
 # Boundary-to-boundary distances at or below these count as adjacent.
 DEFAULT_CONTAINER_MARGIN = 1.0
@@ -45,17 +45,20 @@ class NeighborIndex:
 
 
 def _build_index_raw(centers, radius, container_margin, pair_margin) -> NeighborIndex:
-    """Scan all pairs and wall distances of ``centers``, shape (n, 2).
+    """List the close pairs and the wall terms of ``centers``, shape (n, 2).
 
     A pair is listed when its boundary-to-boundary distance is at most
-    ``pair_margin``. A wall term is listed when the circle's boundary lies
-    no more than ``container_margin`` outside the wall of ``radius``: every
-    circle inside is listed, and a circle farther outside is not. The
-    margins are not validated here; ``optimizer.SolverConfig`` does that,
-    and the optimizer is its only caller in the package.
+    ``pair_margin``. The predicate runs on the candidates of
+    ``geometry.candidate_pairs`` with reach 2 + ``pair_margin`` (all pairs
+    below its size crossover or with an infinite margin), so the listed
+    pairs are those of a scan of all pairs, in the same order. A wall term
+    is listed when the circle's boundary lies no more than
+    ``container_margin`` outside the wall of ``radius``: every circle
+    inside is listed, and a circle farther outside is not. The margins are
+    not validated here; ``optimizer.SolverConfig`` does that, and the
+    optimizer is its only caller in the package.
     """
-    n = centers.shape[0]
-    pair_i, pair_j = all_pair_indices(n)
+    pair_i, pair_j = candidate_pairs(centers, 2.0 + pair_margin)
     delta = centers[pair_i] - centers[pair_j]
     dist = np.hypot(delta[:, 0], delta[:, 1])
     keep = dist - 2.0 <= pair_margin

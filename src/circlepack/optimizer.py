@@ -234,6 +234,16 @@ def update_inverse_hessian(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.nd
     averaging. Only the upper triangle is computed, a block of rows at a
     time in two scratch buffers, and each block is mirrored below the
     diagonal.
+
+    The three outer products go through ``np.einsum``, which is faster
+    than a broadcast multiply here. einsum adds each product to a zeroed
+    output, so a product that is -0.0 comes out as +0.0; every other value
+    has the same bits. That sign cannot reach ``h``: it starts as the
+    identity (``np.eye`` or ``_reset_to_identity``), which holds no -0.0,
+    and in round-to-nearest ``h - p`` and ``h + q`` give -0.0 only when
+    ``h`` is -0.0 (a nonzero result never rounds to zero, since a sum
+    that small is exact). So ``h`` never holds -0.0, and ``h - (+0.0)``
+    and ``h - (-0.0)``, like ``h + (+0.0)`` and ``h + (-0.0)``, are ``h``.
     """
     ys = float(np.dot(y, s))
     floor = CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
@@ -250,12 +260,12 @@ def update_inverse_hessian(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.nd
         block = h[r0:r1, r0:]
         a = scratch[0, : block.size].reshape(block.shape)
         b = scratch[1, : block.size].reshape(block.shape)
-        np.multiply(s[r0:r1, None], hy[r0:], out=a)
-        np.multiply(hy[r0:r1, None], s[r0:], out=b)
+        np.einsum("i,j->ij", s[r0:r1], hy[r0:], out=a)
+        np.einsum("i,j->ij", hy[r0:r1], s[r0:], out=b)
         np.add(a, b, out=a)
         np.multiply(a, rho, out=a)
         np.subtract(block, a, out=block)
-        np.multiply(s[r0:r1, None], s[r0:], out=a)
+        np.einsum("i,j->ij", s[r0:r1], s[r0:], out=a)
         np.multiply(a, scale, out=a)
         np.add(block, a, out=block)
         if r1 < m:

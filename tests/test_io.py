@@ -10,8 +10,6 @@ import circlepack as cp
 from circlepack.layout_io import (
     LayoutFormatError,
     TableValidationError,
-    VerificationResult,
-    Violation,
     format_decimal,
     parse_document,
     read_improvements,
@@ -261,36 +259,6 @@ def test_verify_layout_structural_mismatch():
         cp.verify_layout(doc)
 
 
-def verify_by_full_scan(layout, tolerance=1e-9):
-    """Reference: every wall term, then every pair i < j, with math.hypot."""
-    centers, radius, n = layout.centers, layout.radius, layout.n
-    violations = []
-    max_pair = 0.0
-    max_container = 0.0
-    for i in range(n):
-        depth = math.hypot(centers[i, 0], centers[i, 1]) + 1.0 - radius
-        if depth > 0.0:
-            max_container = max(max_container, depth)
-            if depth > tolerance:
-                violations.append(Violation("container", i, None, depth))
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            gap = math.hypot(centers[i, 0] - centers[j, 0], centers[i, 1] - centers[j, 1])
-            depth = 2.0 - gap
-            if depth > 0.0:
-                max_pair = max(max_pair, depth)
-                if depth > tolerance:
-                    violations.append(Violation("pair", i, j, depth))
-    return VerificationResult(not violations, tuple(violations), max_pair, max_container)
-
-
-def assert_same_verdict(got, want):
-    assert got == want
-    assert [v.depth.hex() for v in got.violations] == [v.depth.hex() for v in want.violations]
-    assert got.max_pair_depth.hex() == want.max_pair_depth.hex()
-    assert got.max_container_depth.hex() == want.max_container_depth.hex()
-
-
 TOLERANCES = st.sampled_from([0.0, 1e-12, 1e-9, 1e-3])
 
 
@@ -301,9 +269,11 @@ TOLERANCES = st.sampled_from([0.0, 1e-12, 1e-9, 1e-3])
     tolerance=TOLERANCES,
 )
 @settings(max_examples=150, deadline=None)
-def test_verify_layout_matches_full_scan_on_random_layouts(n, radius, seed, tolerance):
+def test_verify_layout_matches_full_scan_on_random_layouts(
+    verdict_matches_full_scan, n, radius, seed, tolerance
+):
     layout = cp.random_layout(n, radius, cp.Rng(seed))
-    assert_same_verdict(cp.verify_layout(layout, tolerance), verify_by_full_scan(layout, tolerance))
+    verdict_matches_full_scan(layout, tolerance)
 
 
 @given(
@@ -317,7 +287,9 @@ def test_verify_layout_matches_full_scan_on_random_layouts(n, radius, seed, tole
     tolerance=TOLERANCES,
 )
 @settings(max_examples=150, deadline=None)
-def test_verify_layout_matches_full_scan_near_contact(ring, count, nudges, tolerance):
+def test_verify_layout_matches_full_scan_near_contact(
+    verdict_matches_full_scan, ring, count, nudges, tolerance
+):
     # circles on a ring touching the wall, neighbours exactly 2 apart, each
     # coordinate then nudged by at most a few 1e-9
     step = 2.0 * math.asin(1.0 / ring)
@@ -326,7 +298,7 @@ def test_verify_layout_matches_full_scan_near_contact(ring, count, nudges, toler
     centers = ring * np.column_stack((np.cos(angles), np.sin(angles)))
     centers += np.array(nudges[: 2 * count]).reshape(count, 2)
     layout = cp.Layout(centers, ring + 1.0)
-    assert_same_verdict(cp.verify_layout(layout, tolerance), verify_by_full_scan(layout, tolerance))
+    verdict_matches_full_scan(layout, tolerance)
 
 
 def test_verify_agrees_with_is_feasible_on_solver_outputs():

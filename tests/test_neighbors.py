@@ -34,26 +34,28 @@ def energy_at(centers, radius, index):
 
 
 def test_build_index_matches_bruteforce_predicates():
-    layout = dense_layout(25, 9)
-    index = index_of(layout, container_margin=1.0, pair_margin=1.0)
-    c = layout.centers
-    expected_pairs = set()
-    for i in range(layout.n):
-        for j in range(i + 1, layout.n):
-            dist = math.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1])
-            if dist - 2.0 <= 1.0:
-                expected_pairs.add((i, j))
-    got_pairs = set(zip(index.pair_i.tolist(), index.pair_j.tolist()))
-    assert got_pairs == expected_pairs
+    # n = 25 lists from all pairs, 128 and 300 from the cell grid
+    for n in (25, 128, 300):
+        layout = dense_layout(n, 9)
+        index = index_of(layout, container_margin=1.0, pair_margin=1.0)
+        c = layout.centers
+        expected_pairs = set()
+        for i in range(layout.n):
+            for j in range(i + 1, layout.n):
+                dist = math.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1])
+                if dist - 2.0 <= 1.0:
+                    expected_pairs.add((i, j))
+        got_pairs = set(zip(index.pair_i.tolist(), index.pair_j.tolist()))
+        assert got_pairs == expected_pairs
 
-    # the wall predicate is one-sided: everything is listed except circles
-    # already violating the wall by more than the margin
-    expected_wall = {
-        i
-        for i in range(layout.n)
-        if math.hypot(c[i, 0], c[i, 1]) + 1.0 - layout.radius <= 1.0
-    }
-    assert set(index.container_ids.tolist()) == expected_wall
+        # the wall predicate is one-sided: everything is listed except
+        # circles already violating the wall by more than the margin
+        expected_wall = {
+            i
+            for i in range(layout.n)
+            if math.hypot(c[i, 0], c[i, 1]) + 1.0 - layout.radius <= 1.0
+        }
+        assert set(index.container_ids.tolist()) == expected_wall
 
 
 def test_full_index_lists_everything():

@@ -259,23 +259,31 @@ def update_by_allocating_formula(h, s, y):
     return (out + out.T) / 2.0
 
 
-@pytest.mark.parametrize("size", [6, 88, 406, 800])
+@pytest.mark.parametrize("size", [6, 40, 88, 406, 800])
 def test_update_inverse_hessian_chain_matches_allocating_formula(size):
     # 406 rows do not split into equal blocks, 800 do; every tenth pair
-    # has negative curvature and must leave the matrix untouched
+    # has negative curvature and must leave the matrix untouched. In the
+    # second chain a third of the circles do not move in a step: their
+    # entries of s and y are exact zeros of either sign, so the outer
+    # products hold -0.0, which the update must not let into h
     rng = np.random.default_rng(size)
-    h = np.eye(size)
-    expected = np.eye(size)
-    for k in range(30):
-        s = rng.normal(size=size)
-        y = s * rng.uniform(0.5, 2.0, size=size) + 0.1 * rng.normal(size=size)
-        if k % 10 == 9:
-            y = -y
-        expected = update_by_allocating_formula(expected, s, y)
-        got = update_inverse_hessian(h, s, y)
-        assert got is h
-        assert got.tobytes() == expected.tobytes()
-        assert np.array_equal(got, got.T)
+    for still in (False, True):
+        h = np.eye(size)
+        expected = np.eye(size)
+        for k in range(30):
+            s = rng.normal(size=size)
+            y = s * rng.uniform(0.5, 2.0, size=size) + 0.1 * rng.normal(size=size)
+            if still:
+                circles = rng.choice(size // 2, size=max(1, size // 6), replace=False)
+                for vec in (s, y):
+                    vec.reshape(-1, 2)[circles] = rng.choice([0.0, -0.0], size=(circles.size, 2))
+            if k % 10 == 9:
+                y = -y
+            expected = update_by_allocating_formula(expected, s, y)
+            got = update_inverse_hessian(h, s, y)
+            assert got is h
+            assert got.tobytes() == expected.tobytes()
+            assert np.array_equal(got, got.T)
 
 
 def test_bfgs_trajectory_matches_allocating_update(monkeypatch):
