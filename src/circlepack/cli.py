@@ -266,6 +266,7 @@ def _at_least(convert, low, strict=False, finite=False):
 _COUNT = _at_least(int, 1)
 _RADIUS = _at_least(float, 1.0, finite=True)
 _SECONDS = _at_least(float, 0.0, strict=True)
+_TOLERANCE = _at_least(float, 0.0)
 _DEFAULTS = SolverConfig()
 
 
@@ -340,7 +341,7 @@ def build_parser() -> _Parser:
     verify = commands.add_parser("verify", help="re-check a layout document")
     verify.add_argument("path", help="layout document to verify")
     verify.add_argument(
-        "--tolerance", type=float, default=DEFAULT_VERIFY_TOLERANCE,
+        "--tolerance", type=_TOLERANCE, default=DEFAULT_VERIFY_TOLERANCE,
         help="maximum tolerated overlap depth (default %(default)g)",
     )
     verify.set_defaults(func=cmd_verify)
@@ -354,7 +355,7 @@ def build_parser() -> _Parser:
         "--indices", action="store_true", help="label each circle with its index"
     )
     render.add_argument(
-        "--tolerance", type=float, default=DEFAULT_VERIFY_TOLERANCE,
+        "--tolerance", type=_TOLERANCE, default=DEFAULT_VERIFY_TOLERANCE,
         help="overlap depth beyond which circles are tinted (default %(default)g)",
     )
     render.set_defaults(func=cmd_render)

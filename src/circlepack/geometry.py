@@ -210,57 +210,54 @@ def evaluate_pairs(
 
     Every listed pair contributes twice its squared depth (each member of the
     pair stores the same deformation); each listed container term contributes
-    its squared depth once. Returns (total, max pair depth, max container
-    depth) over the listed terms only. With ``with_gradient`` the analytic
-    gradient of that total, shape (n, 2), comes back as a fourth item; it is
-    None when two centers of an overlapping listed pair coincide, since the
-    push direction between them is undefined.
+    its squared depth once. Returns the ``Energy`` over the listed terms
+    only; an empty list contributes +0.0 to the total and to its maximum.
+    With ``with_gradient`` it returns ``(energy, grad)``, where ``grad`` is
+    the analytic gradient of that total, shape (n, 2), or None when two
+    centers of an overlapping listed pair coincide, since the push direction
+    between them is undefined.
     """
+    # take gathers along the circle axis faster than fancy indexing
+    delta = centers.take(pair_i, axis=0) - centers.take(pair_j, axis=0)
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    pdepth = np.maximum(2.0 - dist, 0.0)
+    # summing only the active depths keeps the accumulation order
+    # independent of how many zero-depth terms the listing carries
+    pair_active = pdepth > 0.0
+    d = pdepth[pair_active]
+    pts = centers.take(container_ids, axis=0)
+    rad = np.hypot(pts[:, 0], pts[:, 1])
+    cdepth = np.maximum(rad + 1.0 - radius, 0.0)
+    wall_active = cdepth > 0.0
+    c = cdepth[wall_active]
+    # depths are >= 0, so initial=0.0 changes no maximum of a non-empty list
+    energy = Energy(
+        total=2.0 * float(np.dot(d, d)) + float(np.dot(c, c)),
+        max_pair_depth=float(pdepth.max(initial=0.0)),
+        max_container_depth=float(cdepth.max(initial=0.0)),
+    )
+    if not with_gradient:
+        return energy
+    if energy.max_pair_depth >= 2.0 and np.any(dist[pair_active] == 0.0):
+        return energy, None
     n = centers.shape[0]
-    grad = np.zeros((n, 2)) if with_gradient else None
-    if pair_i.size:
-        delta = centers[pair_i] - centers[pair_j]
-        dist = np.hypot(delta[:, 0], delta[:, 1])
-        pdepth = np.maximum(2.0 - dist, 0.0)
-        # summing only the active depths keeps the accumulation order
-        # independent of how many zero-depth terms the listing carries
-        active = pdepth > 0.0
-        d = pdepth[active]
-        pair_term = 2.0 * float(np.dot(d, d))
-        max_pair = float(pdepth.max())
-        if with_gradient and d.size:
-            if max_pair >= 2.0 and np.any(dist[active] == 0.0):
-                grad = None
-            else:
-                ii = pair_i[active]
-                jj = pair_j[active]
-                # each pair appears twice in the energy, hence the factor 4
-                coef = 4.0 * d / dist[active]
-                push = coef[:, None] * delta[active]
-                for axis in (0, 1):
-                    grad[:, axis] = np.bincount(jj, push[:, axis], minlength=n) - np.bincount(
-                        ii, push[:, axis], minlength=n
-                    )
-    else:
-        pair_term, max_pair = 0.0, 0.0
-    if container_ids.size:
-        pts = centers[container_ids]
-        rad = np.hypot(pts[:, 0], pts[:, 1])
-        cdepth = np.maximum(rad + 1.0 - radius, 0.0)
-        active = cdepth > 0.0
-        c = cdepth[active]
-        cont_term = float(np.dot(c, c))
-        max_cont = float(cdepth.max())
-        if grad is not None and c.size:
-            ids = container_ids[active]
-            # rad > 0 whenever the wall term is active, since radius > 0
-            coef = 2.0 * c / rad[active]
-            grad[ids] += coef[:, None] * centers[ids]
-    else:
-        cont_term, max_cont = 0.0, 0.0
-    if with_gradient:
-        return pair_term + cont_term, max_pair, max_cont, grad
-    return pair_term + cont_term, max_pair, max_cont
+    grad = np.zeros((n, 2))
+    # the size guards skip several numpy calls on an empty active list,
+    # which is the common case for the wall terms
+    if d.size:
+        ii = pair_i[pair_active]
+        jj = pair_j[pair_active]
+        # each pair appears twice in the energy, hence the factor 4
+        push = (4.0 * d / dist[pair_active])[:, None] * delta[pair_active]
+        for axis in (0, 1):
+            grad[:, axis] = np.bincount(jj, push[:, axis], minlength=n) - np.bincount(
+                ii, push[:, axis], minlength=n
+            )
+    if c.size:
+        ids = container_ids[wall_active]
+        # rad > 0 whenever the wall term is active, since radius > 0
+        grad[ids] += (2.0 * c / rad[wall_active])[:, None] * pts[wall_active]
+    return energy, grad
 
 
 def total_energy(layout: Layout) -> Energy:
@@ -271,10 +268,7 @@ def total_energy(layout: Layout) -> Energy:
     zero and change neither the sum nor the maxima.
     """
     pair_i, pair_j = candidate_pairs(layout.centers, 2.0)
-    total, max_pair, max_cont = evaluate_pairs(
-        layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n)
-    )
-    return Energy(total=total, max_pair_depth=max_pair, max_container_depth=max_cont)
+    return evaluate_pairs(layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n))
 
 
 def is_feasible(layout: Layout) -> bool:

@@ -198,13 +198,17 @@ def parse_document(text: str, origin: str = "<string>") -> LayoutDocument:
         n = int(header["n"])
     except ValueError:
         raise LayoutFormatError(f"{origin}: bad n {header['n']!r}") from None
+    if n < 1:
+        raise LayoutFormatError(f"{origin}: n must be >= 1, got {n}")
     for key in ("radius", "energy"):
         try:
-            float(header[key])
+            value = float(header[key])
         except ValueError:
             raise LayoutFormatError(
                 f"{origin}: bad {key} {header[key]!r}"
             ) from None
+        if not math.isfinite(value) or (key == "radius" and value <= 0.0):
+            raise LayoutFormatError(f"{origin}: bad {key} {header[key]!r}")
     if header["feasible"] not in ("true", "false"):
         raise LayoutFormatError(
             f"{origin}: feasible must be 'true' or 'false', got {header['feasible']!r}"
@@ -391,8 +395,12 @@ def verify_layout(doc, tolerance: float = DEFAULT_VERIFY_TOLERANCE) -> Verificat
     2 + 1e-9 apart from the candidates of ``geometry.candidate_pairs``,
     and only those are checked with ``math.hypot``, in lexicographic
     order, so the verdict and every depth in it are the ones a
-    ``math.hypot`` scan of every pair would give.
+    ``math.hypot`` scan of every pair would give. ``tolerance`` must be
+    >= 0.
     """
+    # written so that NaN fails too
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if isinstance(doc, Layout):
         layout = doc
     else:
@@ -415,7 +423,7 @@ def verify_layout(doc, tolerance: float = DEFAULT_VERIFY_TOLERANCE) -> Verificat
             if depth > tolerance:
                 violations.append(Violation("container", i, None, depth))
     pair_i, pair_j = candidate_pairs(centers, 2.0 + _PAIR_CANDIDATE_SLACK)
-    delta = centers[pair_i] - centers[pair_j]
+    delta = centers.take(pair_i, axis=0) - centers.take(pair_j, axis=0)
     close = np.hypot(delta[:, 0], delta[:, 1]) < 2.0 + _PAIR_CANDIDATE_SLACK
     for i, j in zip(pair_i[close].tolist(), pair_j[close].tolist()):
         gap = math.hypot(

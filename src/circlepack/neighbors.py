@@ -27,21 +27,19 @@ _COINCIDENT_JITTER = 1e-8
 _TRIAL_ELEMENTS = 4096
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class NeighborIndex:
     """Adjacency snapshot of a layout.
 
     ``pair_i``/``pair_j`` enumerate the listed unordered pairs (i < j,
     lexicographic); ``container_ids`` lists the circles with a wall term.
-    The pair relation is symmetric and self-free by construction. ``age``
-    counts accepted optimizer steps since the snapshot was taken; a rebuild
-    produces a new index rather than mutating the arrays in place.
+    The pair relation is symmetric and self-free by construction. A rebuild
+    produces a new index; the optimizer counts the steps since then.
     """
 
     pair_i: np.ndarray
     pair_j: np.ndarray
     container_ids: np.ndarray
-    age: int = 0
 
 
 def _build_index_raw(centers, radius, container_margin, pair_margin) -> NeighborIndex:
@@ -59,7 +57,7 @@ def _build_index_raw(centers, radius, container_margin, pair_margin) -> Neighbor
     optimizer is its only caller in the package.
     """
     pair_i, pair_j = candidate_pairs(centers, 2.0 + pair_margin)
-    delta = centers[pair_i] - centers[pair_j]
+    delta = centers.take(pair_i, axis=0) - centers.take(pair_j, axis=0)
     dist = np.hypot(delta[:, 0], delta[:, 1])
     keep = dist - 2.0 <= pair_margin
     rad = np.hypot(centers[:, 0], centers[:, 1])
@@ -129,25 +127,25 @@ def gradient_eval(
 ):
     """Energy and analytic gradient over the index's listed terms.
 
-    Returns ``(total, max_pair_depth, max_container_depth, grad, centers)``
-    with ``grad`` of shape (n, 2). Coincident centers make the pair gradient
+    Returns ``(energy, grad, centers)``: the ``Energy`` of the listed terms
+    and ``grad`` of shape (n, 2). Coincident centers make the pair gradient
     direction undefined; in that case one member is nudged by 1e-8 in a
     random direction and the evaluation reruns on the nudged copy, which is
     returned so callers can adopt it.
     """
     while True:
-        total, max_pair, max_cont, grad = evaluate_pairs(
+        energy, grad = evaluate_pairs(
             centers, radius, index.pair_i, index.pair_j, index.container_ids, with_gradient=True
         )
         if grad is not None:
-            return total, max_pair, max_cont, grad, centers
+            return energy, grad, centers
         centers = _nudge_coincident(centers, index.pair_i, index.pair_j, rng)
 
 
 def _nudge_coincident(centers, pair_i, pair_j, rng: Rng | None):
     if rng is None:
         rng = Rng(0)
-    delta = centers[pair_i] - centers[pair_j]
+    delta = centers.take(pair_i, axis=0) - centers.take(pair_j, axis=0)
     dist = np.hypot(delta[:, 0], delta[:, 1])
     out = centers.copy()
     for k in np.flatnonzero(dist == 0.0):
@@ -164,8 +162,5 @@ def energy_gradient_full(layout: Layout, rng: Rng | None = None) -> tuple[Energy
     The gradient comes back flattened as (dU/dx1, dU/dy1, ..., dU/dxn,
     dU/dyn). Terms with zero depth contribute exactly zero.
     """
-    total, max_pair, max_cont, grad, _ = gradient_eval(
-        layout.centers, layout.radius, full_index(layout.n), rng
-    )
-    energy = Energy(total=total, max_pair_depth=max_pair, max_container_depth=max_cont)
+    energy, grad, _ = gradient_eval(layout.centers, layout.radius, full_index(layout.n), rng)
     return energy, grad.reshape(-1)

@@ -320,16 +320,19 @@ def bfgs_minimize(
     # with both margins infinite the index lists every term and never ages
     covers_all = config.mode == "full" or (math.isinf(container_margin) and math.isinf(pair_margin))
     evaluations = 0
+    # accepted steps since the index was built
+    age = 0
 
     def rebuild(vec):
-        nonlocal index
+        nonlocal index, age
         index = _build_index_raw(vec.reshape(n, 2), r, container_margin, pair_margin)
+        age = 0
 
     def evaluate(vec):
         nonlocal evaluations
         evaluations += 1
-        total, _, _, grad, centers = gradient_eval(vec.reshape(n, 2), r, index, rng)
-        return total, centers.reshape(-1), grad.reshape(-1)
+        energy, grad, centers = gradient_eval(vec.reshape(n, 2), r, index, rng)
+        return energy.total, centers.reshape(-1), grad.reshape(-1)
 
     def trial_energy(origin, d, steps, limits):
         nonlocal evaluations
@@ -361,7 +364,7 @@ def bfgs_minimize(
         if exact is not None or gnorm < GRADIENT_TOLERANCE:
             # a fresh index lists nothing left to descend on (any remaining
             # violations sit outside its margins); a stale one is rebuilt first
-            if index.age == 0:
+            if age == 0:
                 status = OptimizeStatus.GRADIENT_CONVERGED
                 break
             rebuild(x)
@@ -385,11 +388,11 @@ def bfgs_minimize(
             break
 
         x_new = x + lam * direction
-        step_age = index.age
+        step_age = age
         state.iteration += 1
         if not covers_all:
-            index.age += 1
-            if index.age >= refresh_period:
+            age += 1
+            if age >= refresh_period:
                 rebuild(x_new)
 
         energy_before = total
@@ -437,14 +440,10 @@ def run_bounded(
     """Run at most ``h`` local-mode steps at ``radius`` and return the layout.
 
     No feasibility requirement: this is the short burst the hop strategies
-    use to let a perturbed layout settle. ``h`` = 0 returns the input
-    coordinates untouched. The settle runs in local mode whatever
-    ``config.mode`` says.
+    use to let a perturbed layout settle; ``bfgs_minimize`` rejects an
+    ``h`` below 1. The settle runs in local mode whatever ``config.mode``
+    says.
     """
-    if h < 0:
-        raise ValueError(f"iteration budget must be >= 0, got {h}")
-    if h == 0:
-        return layout.with_radius(radius)
     outcome = bfgs_minimize(
         layout, radius=radius, max_iterations=h, rng=rng, **vars(replace(config, mode="local"))
     )

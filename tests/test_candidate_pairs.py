@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import circlepack as cp
 from circlepack import geometry
 from circlepack.geometry import (
-    Energy,
     Layout,
     all_pair_indices,
     candidate_pairs,
@@ -44,10 +43,7 @@ def build_index_by_all_pairs(centers, radius, container_margin, pair_margin):
 def total_energy_by_all_pairs(layout):
     """Reference: the energy kernel over every pair and wall term."""
     pair_i, pair_j = all_pair_indices(layout.n)
-    total, max_pair, max_cont = evaluate_pairs(
-        layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n)
-    )
-    return Energy(total, max_pair, max_cont)
+    return evaluate_pairs(layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n))
 
 
 def energy_bits(energy):

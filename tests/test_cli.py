@@ -139,6 +139,23 @@ def test_verify_malformed_file(tmp_path, capsys):
     path.write_text("whatever this is\n", encoding="utf-8")
     assert main(["verify", str(path)]) == EXIT_BAD_FILE
     assert main(["verify", str(tmp_path / "missing.txt")]) == EXIT_BAD_FILE
+    # headers that parse as numbers but describe no layout
+    for text in (
+        "n=0\nradius=2.0\nenergy=0.0\nfeasible=true\n",
+        "n=1\nradius=nan\nenergy=0.0\nfeasible=true\n0 0\n",
+    ):
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == EXIT_BAD_FILE
+        assert main(["render", str(path)]) == EXIT_BAD_FILE
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_tolerance_flag_rejects_nan_and_negative(tmp_path, capsys, command, tolerance):
+    # two circles overlapping by 1.0 would pass a NaN tolerance
+    path = tmp_path / "overlap.txt"
+    cp.write_layout(cp.Layout(np.array([[-0.5, 0.0], [0.5, 0.0]]), 3.0), None, path)
+    assert main([command, str(path), "--tolerance", tolerance]) == EXIT_USAGE
 
 
 def test_render_command(tmp_path, capsys):

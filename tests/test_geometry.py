@@ -5,10 +5,12 @@ import pytest
 
 from circlepack.geometry import (
     FEASIBLE_ENERGY,
+    Energy,
     Layout,
     Rng,
     all_pair_indices,
     container_depth,
+    evaluate_pairs,
     is_feasible,
     pair_depth,
     random_layout,
@@ -147,3 +149,36 @@ def test_random_layout_seed_reproducible():
 
 def test_feasible_energy_threshold_constant():
     assert FEASIBLE_ENERGY == 1e-20
+
+
+NO_TERMS = np.array([], dtype=np.intp)
+
+
+@pytest.mark.parametrize(
+    "centers, radius, listed_pairs, listed_walls",
+    [
+        # two overlapping circles inside the wall, no pair listed
+        ([[0.0, 0.0], [1.0, 0.0]], 5.0, False, True),
+        # two separate circles across the wall, no wall term listed
+        ([[-4.0, 0.0], [4.0, 0.0]], 2.0, True, False),
+        # one circle across the wall, neither listed
+        ([[5.0, 0.0]], 2.0, False, False),
+    ],
+    ids=["no-pairs", "no-walls", "n=1-neither"],
+)
+def test_evaluate_pairs_empty_term_lists_are_positive_zero(
+    centers, radius, listed_pairs, listed_walls
+):
+    # every unlisted term would be active; the listed ones are not, so the
+    # result is made of empty sums and empty maxima only
+    centers = np.array(centers)
+    n = centers.shape[0]
+    pair_i, pair_j = all_pair_indices(n) if listed_pairs else (NO_TERMS, NO_TERMS)
+    walls = np.arange(n) if listed_walls else NO_TERMS
+    energy = evaluate_pairs(centers, radius, pair_i, pair_j, walls)
+    with_grad, grad = evaluate_pairs(centers, radius, pair_i, pair_j, walls, with_gradient=True)
+    assert energy == with_grad == Energy(0.0, 0.0, 0.0)
+    for value in (energy.total, energy.max_pair_depth, energy.max_container_depth):
+        assert math.copysign(1.0, value) == 1.0
+    assert grad.shape == (n, 2)
+    assert np.all(grad == 0.0) and not np.any(np.signbit(grad))

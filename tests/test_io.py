@@ -115,6 +115,13 @@ def test_recorded_energy_matches_recomputation():
         ("n=1\nradius=2.0\nenergy=0.0\nfeasible=true\n0 0 0\n", "expected 'x y'"),
         ("n=1\nradius=2.0\nenergy=0.0\nfeasible=true\nfoo bar\n", "bad coordinate"),
         ("n=1\nn=1\nradius=2.0\nenergy=0.0\nfeasible=true\n0 0\n", "duplicate header"),
+        ("n=0\nradius=2.0\nenergy=0.0\nfeasible=true\n", "n must be >= 1"),
+        ("n=1\nradius=nan\nenergy=0.0\nfeasible=true\n0 0\n", "bad radius"),
+        ("n=1\nradius=inf\nenergy=0.0\nfeasible=true\n0 0\n", "bad radius"),
+        ("n=1\nradius=0\nenergy=0.0\nfeasible=true\n0 0\n", "bad radius"),
+        ("n=1\nradius=-1\nenergy=0.0\nfeasible=true\n0 0\n", "bad radius"),
+        ("n=1\nradius=2.0\nenergy=nan\nfeasible=true\n0 0\n", "bad energy"),
+        ("n=1\nradius=2.0\nenergy=-inf\nfeasible=true\n0 0\n", "bad energy"),
     ],
 )
 def test_parse_document_rejects_malformed(text, message):
@@ -245,6 +252,14 @@ def test_verify_layout_tolerance_is_respected():
     layout = cp.Layout(np.array([[-1.0, 0.0], [1.0 - 5e-10, 0.0]]), 2.0)
     assert cp.verify_layout(layout, tolerance=1e-9).passed
     assert not cp.verify_layout(layout, tolerance=1e-10).passed
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1e-9])
+def test_verify_layout_rejects_bad_tolerance(tolerance):
+    # a NaN tolerance would pass every violation, since no depth exceeds it
+    layout = cp.Layout(np.array([[-0.5, 0.0], [0.5, 0.0]]), 3.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        cp.verify_layout(layout, tolerance=tolerance)
 
 
 def test_verify_layout_structural_mismatch():

@@ -88,10 +88,8 @@ def test_index_energy_bitwise_equal_to_total_energy():
 def test_gradient_eval_energy_consistency():
     layout = dense_layout(30, 2)
     index = index_of(layout)
-    total, max_pair, max_cont, grad, centers = gradient_eval(
-        layout.centers, layout.radius, index
-    )
-    assert total == energy_at(layout.centers, layout.radius, index)
+    energy, grad, centers = gradient_eval(layout.centers, layout.radius, index)
+    assert energy.total == energy_at(layout.centers, layout.radius, index)
     assert grad.shape == (30, 2)
     assert np.array_equal(centers, layout.centers)
 
@@ -137,8 +135,3 @@ def test_coincident_centers_get_nudged():
     # direction is undefined; the gradient must be finite and nonzero
     assert np.all(np.isfinite(grad))
     assert np.linalg.norm(grad) > 0.0
-
-
-def test_index_age_starts_at_zero():
-    layout = dense_layout(6, 3)
-    assert index_of(layout).age == 0

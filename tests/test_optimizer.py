@@ -53,7 +53,7 @@ def listed_energy(radius, index):
     def energy(point):
         return evaluate_pairs(
             point.reshape(-1, 2), radius, index.pair_i, index.pair_j, index.container_ids
-        )[0]
+        ).total
 
     return energy
 
@@ -171,7 +171,8 @@ def test_line_search_matches_sequential_search(
     radius = 1.0 + math.sqrt(n / density)
     layout = random_layout(n, radius, Rng(seed))
     index = neighbors._build_index_raw(layout.centers, radius, margin, margin)
-    u0, _, _, grad, centers = neighbors.gradient_eval(layout.centers, radius, index, Rng(seed))
+    energy, grad, centers = neighbors.gradient_eval(layout.centers, radius, index, Rng(seed))
+    u0 = energy.total
     x = centers.reshape(-1)
     g = grad.reshape(-1)
     rng = np.random.default_rng(seed)
@@ -487,6 +488,30 @@ def test_bfgs_monotone_energy_per_step():
         assert rec.step_length >= 0.0
 
 
+def index_ages(layout, **options):
+    ages = []
+    bfgs_minimize(layout, callback=lambda state, rec: ages.append(rec.index_age), **options)
+    return ages
+
+
+def test_index_age_counts_steps_since_rebuild():
+    # local mode rebuilds every refresh_period steps, and the age a step
+    # reports is the number of steps taken on its index before it; below
+    # the best-known radius 6.197 of n = 30 the descent takes all 40 steps
+    layout = random_layout(30, 5.9, Rng(4))
+    for period in (1, 3, 10):
+        ages = index_ages(layout, refresh_period=period, max_iterations=40)
+        assert len(ages) == 40
+        assert ages == [k % period for k in range(40)]
+    # a full index, or one whose infinite margins list every term, never ages
+    assert set(index_ages(layout, mode="full", max_iterations=40)) == {0}
+    assert set(
+        index_ages(
+            layout, container_margin=math.inf, pair_margin=math.inf, max_iterations=40
+        )
+    ) == {0}
+
+
 def test_bfgs_deterministic():
     layout = random_layout(12, 4.0, Rng(8))
     a = bfgs_minimize(layout)
@@ -553,11 +578,12 @@ def test_bfgs_rejects_bad_margins(setting):
         bfgs_minimize(layout, **setting)
 
 
-def test_run_bounded_zero_iterations_only_swaps_radius():
+@pytest.mark.parametrize("h", [0, -1])
+def test_run_bounded_rejects_budget_below_one(h):
+    # the budget is checked once, by bfgs_minimize
     layout = random_layout(5, 3.0, Rng(2))
-    result = run_bounded(layout, 2.5, 0)
-    assert result.radius == 2.5
-    assert np.array_equal(result.centers, layout.centers)
+    with pytest.raises(ValueError, match="max_iterations"):
+        run_bounded(layout, 2.5, h)
 
 
 def test_run_bounded_respects_iteration_cap():
