@@ -1,12 +1,17 @@
-"""Print one sha256 over the trajectories of a fixed set of solver runs.
+"""Print sha256 hashes over the trajectories of a fixed set of solver runs.
 
 Two checkouts that print the same hash took the same steps, bit for bit:
 every iterate, step length, line-search value and evaluation count of a
 fixed set of descents, and the reports of a few restart-budgeted
 ``minimize_radius`` runs. Two local-mode descents at n = 150 and 400 cover
-the cell-grid neighbour scan and the large inverse-Hessian update. Use it
-to show that a refactor or a speed-up left every trajectory unchanged. Run
-from the root of a source checkout:
+the cell-grid neighbour scan, the large dense inverse-Hessian update (n =
+150) and limited-memory BFGS (n = 400). Use it to show that a refactor or
+a speed-up left every trajectory unchanged.
+
+The first hash covers every run. The second covers the runs with n <= 320,
+the paper's largest instance, which is every run but the n = 400 descent:
+a change confined to the solver's path above that size leaves it equal.
+Run from the root of a source checkout:
 
     python scripts/trajectory_fingerprint.py
 
@@ -48,6 +53,8 @@ SETTINGS = (
     ("local", 0.1, 0.1),
     ("local", math.inf, math.inf),
 )
+# the runs with at most this many circles enter the second hash
+PAPER_MAX_CIRCLES = 320
 # (n, start radius, restart budget)
 RADIUS_RUNS = ((2, 1.9, 1), (3, 3.0, 3), (5, 3.0, 1), (7, 3.2, 2), (9, 3.7, 1), (12, 4.3, 2))
 
@@ -66,47 +73,52 @@ def descent_starts():
     yield "escaped in a crowd", Layout(crowd, 1.0 + math.sqrt(12 / 0.72))
 
 
-def feed(digest, *items) -> None:
+def feed(digests, *items) -> None:
     for item in items:
         if isinstance(item, np.ndarray):
-            digest.update(np.ascontiguousarray(item, dtype=float).tobytes())
+            data = np.ascontiguousarray(item, dtype=float).tobytes()
         elif isinstance(item, float):
-            digest.update(struct.pack("<d", item))
+            data = struct.pack("<d", item)
         else:
-            digest.update(repr(item).encode())
+            data = repr(item).encode()
+        for digest in digests:
+            digest.update(data)
 
 
-def descend(digest, label, layout, mode, container_margin, pair_margin) -> None:
+def descend(digests, label, layout, mode, container_margin, pair_margin) -> None:
     def record(state, rec):
-        feed(digest, state.iterate, rec.energy_before, rec.energy_after,
+        feed(digests, state.iterate, rec.energy_before, rec.energy_after,
              rec.step_length, rec.restarted, rec.index_age)
 
     outcome = bfgs_minimize(
         layout, mode=mode, rng=Rng(0), container_margin=container_margin,
         pair_margin=pair_margin, callback=record,
     )
-    feed(digest, label, mode, outcome.status.value, outcome.iterations,
+    feed(digests, label, mode, outcome.status.value, outcome.iterations,
          outcome.evaluations, outcome.energy.total, outcome.energy.max_pair_depth,
          outcome.energy.max_container_depth, outcome.layout.centers)
 
 
 def main() -> int:
-    digest = hashlib.sha256()
+    every_run, paper_sizes = hashlib.sha256(), hashlib.sha256()
+    both = (every_run, paper_sizes)
     descents = 0
     for label, layout in descent_starts():
         for settings in SETTINGS:
-            descend(digest, label, layout, *settings)
+            descend(both, label, layout, *settings)
             descents += 1
     for n in LARGE_SIZES:
         layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(n))
-        descend(digest, f"n={n}", layout, "local", 1.0, 1.0)
+        digests = both if n <= PAPER_MAX_CIRCLES else (every_run,)
+        descend(digests, f"n={n}", layout, "local", 1.0, 1.0)
         descents += 1
     for n, radius, budget in RADIUS_RUNS:
         report = minimize_radius(n, radius, t0=1e6, t1=1e6, rng=Rng(n), max_restarts=budget)
-        feed(digest, n, report.status.value, report.radius, report.restarts, report.hops,
+        feed(both, n, report.status.value, report.radius, report.restarts, report.hops,
              report.layout.radius, report.layout.centers)
     print(f"descents={descents} radius_runs={len(RADIUS_RUNS)}")
-    print(f"sha256 {digest.hexdigest()}")
+    print(f"sha256 {every_run.hexdigest()}")
+    print(f"sha256 n<={PAPER_MAX_CIRCLES} {paper_sizes.hexdigest()}")
     return 0
 
 

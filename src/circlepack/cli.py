@@ -264,6 +264,7 @@ def _at_least(convert, low, strict=False, finite=False):
 
 
 _COUNT = _at_least(int, 1)
+_SEED = _at_least(int, 0)
 _RADIUS = _at_least(float, 1.0, finite=True)
 _SECONDS = _at_least(float, 0.0, strict=True)
 _TOLERANCE = _at_least(float, 0.0)
@@ -271,7 +272,7 @@ _DEFAULTS = SolverConfig()
 
 
 def _add_solver_flags(parser, include_t1: bool = False) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    parser.add_argument("--seed", type=_SEED, default=0, help="random seed (default 0)")
     parser.add_argument(
         "--t0", type=_SECONDS, default=DEFAULT_ATTEMPT_SECONDS,
         help="time budget per search attempt in seconds (default %(default)g)",

@@ -1,15 +1,19 @@
 """Quasi-Newton descent on the packing energy.
 
-A dense BFGS iteration drives the elastic energy toward zero: the inverse
-Hessian approximation starts at the identity and receives a rank-two
-correction after every accepted step, with an Armijo backtracking line
-search choosing the step length. Full mode evaluates energy and gradient
-over every pair; local mode restricts both to neighbor lists rebuilt every
+A BFGS iteration drives the elastic energy toward zero, with an Armijo
+backtracking line search choosing the step length. Up to n = 320 circles,
+the paper's largest instance, the inverse Hessian approximation is a dense
+2n x 2n matrix that starts at the identity and receives a rank-two
+correction after every accepted step; that update costs time and memory
+quadratic in n. Above it the direction comes from limited-memory BFGS
+(``lbfgs_direction``): the last ``LBFGS_MEMORY`` step and gradient-change
+pairs, linear in n. Full mode evaluates energy and gradient over every
+pair; local mode restricts both to neighbor lists rebuilt every
 ``refresh_period`` accepted steps, so an evaluation costs time linear in
-the listed terms instead of quadratic in n (the dense inverse-Hessian
-update stays quadratic). At the sizes the searches run, n of a few tens,
-a step costs numpy calls more than arithmetic, which is why the line search
-hands its trial steps to the energy kernel in chunks (see ``line_search``).
+the listed terms instead of quadratic in n. At the sizes the searches run,
+n of a few tens, a step costs numpy calls more than arithmetic, which is
+why the line search hands its trial steps to the energy kernel in chunks
+(see ``line_search``).
 """
 
 from __future__ import annotations
@@ -51,6 +55,13 @@ _CHUNK_STARTS = (0, 1, 3, 7, 15, 31, MAX_HALVINGS + 1)
 # elements, so its two scratch buffers (256 KiB each) stay in cache; any
 # matrix up to 181 x 181 is one block
 _BLOCK_ELEMENTS = 32768
+
+# the dense inverse Hessian serves every size up to the paper's largest
+# instance, so each run the paper describes keeps the dense trajectory;
+# above it a descent keeps the LBFGS_MEMORY newest (s, y) pairs instead
+# of a matrix that is 32 MB at n = 1000
+DENSE_MAX_CIRCLES = 320
+LBFGS_MEMORY = 10
 
 # after Armijo acceptance the step is polished toward the 1-D minimizer by
 # fitting a quadratic through (0, u0, slope) and the accepted point; two
@@ -109,17 +120,18 @@ class BfgsState:
     """Mutable loop state: current iterate, gradient, inverse Hessian, count.
 
     ``iterate`` and ``gradient`` are flat 2n vectors ordered (x1, y1, ...,
-    xn, yn). ``inv_hessian`` is one 2n x 2n array for the whole run: every
-    update and every steepest-descent restart overwrites it in place, so a
-    callback that keeps it sees it change. It starts as the identity and
-    stays exactly symmetric, since each update maps a symmetric matrix to a
-    symmetric one (see ``update_inverse_hessian``). Confined to one solver
-    run.
+    xn, yn). Up to ``DENSE_MAX_CIRCLES`` circles, ``inv_hessian`` is one
+    2n x 2n array for the whole run: every update and every steepest-descent
+    restart overwrites it in place, so a callback that keeps it sees it
+    change. It starts as the identity and stays exactly symmetric, since
+    each update maps a symmetric matrix to a symmetric one (see
+    ``update_inverse_hessian``). Above that size the run uses limited-memory
+    BFGS and ``inv_hessian`` is None. Confined to one solver run.
     """
 
     iterate: np.ndarray
     gradient: np.ndarray
-    inv_hessian: np.ndarray
+    inv_hessian: np.ndarray | None
     iteration: int = 0
 
 
@@ -278,6 +290,45 @@ def _reset_to_identity(h: np.ndarray) -> None:
     np.fill_diagonal(h, 1.0)
 
 
+def lbfgs_push(memory: list, s: np.ndarray, y: np.ndarray) -> None:
+    """Store step ``s`` and gradient change ``y`` as the newest pair.
+
+    Skips the pair when its curvature y.s is not safely positive, the test
+    ``update_inverse_hessian`` applies, and drops the oldest pair once
+    ``memory`` holds ``LBFGS_MEMORY``. Entries are (s, y, 1/(y.s)).
+    """
+    ys = float(np.dot(y, s))
+    if ys <= CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        return
+    if len(memory) >= LBFGS_MEMORY:
+        del memory[0]
+    memory.append((s, y, 1.0 / ys))
+
+
+def lbfgs_direction(g: np.ndarray, memory: list) -> np.ndarray:
+    """H @ g for the limited-memory inverse Hessian of ``memory``.
+
+    H is what ``update_inverse_hessian`` would make of gamma * I applied
+    with the stored pairs, oldest first, where gamma = s.y / y.y of the
+    newest pair (Shanno-Phua scaling; the identity when ``memory`` is
+    empty). The two-loop recursion of Liu and Nocedal (1989) computes the
+    product in O(len(memory) * n) without forming H.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alpha = rho * float(np.dot(s, q))
+        q -= alpha * y
+        alphas.append(alpha)
+    if memory:
+        _, y, rho = memory[-1]
+        q *= 1.0 / (rho * float(np.dot(y, y)))
+    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
+        beta = rho * float(np.dot(y, q))
+        q += (alpha - beta) * s
+    return q
+
+
 def bfgs_minimize(
     layout: Layout,
     radius: float | None = None,
@@ -307,6 +358,10 @@ def bfgs_minimize(
     gradient ends the run only on a fresh index, and a stale one is rebuilt
     first. With both margins infinite the index provably covers every term,
     so the local run follows the full-mode trajectory bit for bit.
+
+    Up to ``DENSE_MAX_CIRCLES`` circles the search direction comes from a
+    dense inverse Hessian, above it from limited-memory BFGS; a
+    steepest-descent restart resets either to the identity.
     """
     config = SolverConfig(mode, refresh_period, container_margin, pair_margin)
     # written so that NaN fails too
@@ -348,7 +403,10 @@ def bfgs_minimize(
     else:
         rebuild(x)
     total, x, g = evaluate(x)
-    state = BfgsState(iterate=x, gradient=g, inv_hessian=np.eye(2 * n))
+    # the (s, y) pairs of limited-memory BFGS, None while H is dense
+    memory = None if n <= DENSE_MAX_CIRCLES else []
+    inv_hessian = np.eye(2 * n) if memory is None else None
+    state = BfgsState(iterate=x, gradient=g, inv_hessian=inv_hessian)
     best_seen = total
     stall_anchor = 0
 
@@ -377,8 +435,15 @@ def bfgs_minimize(
         # one steepest-descent restart when the quasi-Newton step fails
         for restarted in (False, True):
             if restarted:
-                _reset_to_identity(state.inv_hessian)
-            direction = -g if restarted else -(state.inv_hessian @ g)
+                if memory is None:
+                    _reset_to_identity(state.inv_hessian)
+                else:
+                    memory.clear()
+                direction = -g
+            elif memory is None:
+                direction = -(state.inv_hessian @ g)
+            else:
+                direction = -lbfgs_direction(g, memory)
             slope = float(np.dot(g, direction))
             lam, accepted = line_search(trial_energy, x, direction, total, slope)
             if lam > 0.0:
@@ -397,7 +462,10 @@ def bfgs_minimize(
 
         energy_before = total
         total, x_new, g_new = evaluate(x_new)
-        state.inv_hessian = update_inverse_hessian(state.inv_hessian, x_new - x, g_new - g)
+        if memory is None:
+            state.inv_hessian = update_inverse_hessian(state.inv_hessian, x_new - x, g_new - g)
+        else:
+            lbfgs_push(memory, x_new - x, g_new - g)
         x, g = x_new, g_new
         state.iterate, state.gradient = x, g
         if callback is not None:

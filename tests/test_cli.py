@@ -68,6 +68,14 @@ def test_solve_usage_errors(capsys):
     assert main(["bench", "--n", "2", "--radius", "2", "--reps", "0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["solve", "improve"])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    # used to die in numpy's seeding with a traceback and exit 1, the
+    # verify-failure code
+    assert main([command, "--n", "2", "--radius", "2", "--seed", "-1"]) == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_solve_forwards_solver_flags(monkeypatch, capsys):
     calls = []
     real = cp.search.bfgs_minimize

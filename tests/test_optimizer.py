@@ -19,6 +19,8 @@ from circlepack.geometry import (
 from circlepack.optimizer import (
     OptimizeStatus,
     bfgs_minimize,
+    lbfgs_direction,
+    lbfgs_push,
     line_search,
     run_bounded,
     update_inverse_hessian,
@@ -287,6 +289,106 @@ def test_update_inverse_hessian_chain_matches_allocating_formula(size):
             assert np.array_equal(got, got.T)
 
 
+def curvature_pairs(size, count, seed):
+    """``count`` steps s and gradient changes y = A s of one random
+    positive definite quadratic of dimension ``size``."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(size, size))
+    a = m @ m.T / size + np.eye(size)
+    steps = rng.normal(size=(count, size))
+    return [(s, a @ s) for s in steps]
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, optimizer.LBFGS_MEMORY + 2])
+def test_lbfgs_direction_matches_dense_update_chain(count):
+    # the dense reference starts at gamma * I, gamma = s.y / y.y of the
+    # newest pair, and takes the stored pairs oldest first
+    size = 40
+    memory = []
+    for s, y in curvature_pairs(size, count, seed=count):
+        lbfgs_push(memory, s, y)
+    assert len(memory) == min(count, optimizer.LBFGS_MEMORY)
+    h = np.eye(size)
+    if memory:
+        s, y, _ = memory[-1]
+        h *= float(np.dot(s, y)) / float(np.dot(y, y))
+    for s, y, _ in memory:
+        h = update_inverse_hessian(h, s, y)
+    g = np.random.default_rng(99).normal(size=size)
+    got = lbfgs_direction(g, memory)
+    np.testing.assert_allclose(got, h @ g, rtol=1e-12, atol=1e-12 * np.linalg.norm(h @ g))
+    if not memory:
+        assert got is not g and np.array_equal(got, g)
+
+
+def test_lbfgs_push_drops_oldest_and_skips_flat_curvature():
+    pairs = curvature_pairs(8, optimizer.LBFGS_MEMORY + 3, seed=5)
+    memory = []
+    for s, y in pairs:
+        lbfgs_push(memory, s, y)
+    assert [entry[0] for entry in memory] == [s for s, _ in pairs[3:]]
+    assert all(rho == 1.0 / float(np.dot(y, s)) for s, y, rho in memory)
+    kept = list(memory)
+    s = np.ones(8)
+    flat = np.array([1.0, -1.0] * 4)  # orthogonal to s: y.s = 0
+    for y in (flat, -s, flat + 1e-13 * s):  # zero, negative, below the floor
+        lbfgs_push(memory, s, y)
+        assert memory == kept
+
+
+@pytest.mark.parametrize("n", [optimizer.DENSE_MAX_CIRCLES, optimizer.DENSE_MAX_CIRCLES + 1])
+def test_dense_update_up_to_paper_size_only(monkeypatch, n):
+    updates = []
+    real = optimizer.update_inverse_hessian
+
+    def counted(h, s, y):
+        updates.append(h.shape)
+        return real(h, s, y)
+
+    monkeypatch.setattr(optimizer, "update_inverse_hessian", counted)
+    hessians = []
+    layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(n))
+    outcome = bfgs_minimize(
+        layout, max_iterations=3, callback=lambda state, rec: hessians.append(state.inv_hessian)
+    )
+    assert outcome.iterations == 3
+    if n <= optimizer.DENSE_MAX_CIRCLES:
+        assert updates == [(2 * n, 2 * n)] * 3
+        assert all(h.shape == (2 * n, 2 * n) for h in hessians)
+    else:
+        assert updates == []
+        assert hessians == [None] * 3
+
+
+def test_lbfgs_restart_starts_from_empty_memory(monkeypatch):
+    # the quasi-Newton search of the fifth step is made to fail; the
+    # steepest-descent restart must leave only its own pair in memory
+    n = optimizer.DENSE_MAX_CIRCLES + 1
+    sizes = []
+    real_direction = optimizer.lbfgs_direction
+    real_search = optimizer.line_search
+    searches = 0
+
+    def direction(g, memory):
+        sizes.append(len(memory))
+        return real_direction(g, memory)
+
+    def search(eval_fn, x, d, u0, slope):
+        nonlocal searches
+        searches += 1
+        if searches == 5:
+            return 0.0, u0
+        return real_search(eval_fn, x, d, u0, slope)
+
+    monkeypatch.setattr(optimizer, "lbfgs_direction", direction)
+    monkeypatch.setattr(optimizer, "line_search", search)
+    restarts = []
+    layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(n))
+    bfgs_minimize(layout, max_iterations=8, callback=lambda state, rec: restarts.append(rec.restarted))
+    assert restarts == [False] * 4 + [True] + [False] * 3
+    assert sizes == [0, 1, 2, 3, 4, 1, 2, 3]
+
+
 def test_bfgs_trajectory_matches_allocating_update(monkeypatch):
     n = 60
     layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(0))
@@ -523,20 +625,26 @@ def test_bfgs_deterministic():
 
 def test_full_and_local_agree_with_infinite_margins():
     # small copy of the bit-exactness contract checked at scale by the
-    # acceptance suite
-    layout = random_layout(25, 5.0, Rng(4))
-    full_states = []
-    local_states = []
-    bfgs_minimize(
-        layout, mode="full", max_iterations=30,
-        callback=lambda st, rec: full_states.append(st.iterate.tobytes()),
-    )
-    bfgs_minimize(
-        layout, mode="local", max_iterations=30,
-        container_margin=math.inf, pair_margin=math.inf,
-        callback=lambda st, rec: local_states.append(st.iterate.tobytes()),
-    )
-    assert full_states == local_states
+    # acceptance suite, once with the dense inverse Hessian and once with
+    # limited-memory BFGS
+    n = optimizer.DENSE_MAX_CIRCLES + 1
+    for layout, steps in (
+        (random_layout(25, 5.0, Rng(4)), 30),
+        (random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(n)), 12),
+    ):
+        full_states = []
+        local_states = []
+        bfgs_minimize(
+            layout, mode="full", max_iterations=steps,
+            callback=lambda st, rec: full_states.append(st.iterate.tobytes()),
+        )
+        bfgs_minimize(
+            layout, mode="local", max_iterations=steps,
+            container_margin=math.inf, pair_margin=math.inf,
+            callback=lambda st, rec: local_states.append(st.iterate.tobytes()),
+        )
+        assert len(full_states) == steps
+        assert full_states == local_states
 
 
 def test_local_mode_finds_same_quality_as_full():
