@@ -1,4 +1,4 @@
-"""Benchmark harness: hit-count sweeps and timing sweeps over solver settings.
+"""Benchmark harness: hit-count sweeps and full-versus-local timing.
 
 Per-cell seeds derive from a base seed mixed with (n, repetition) so any
 cell can be rerun in isolation and reproduce exactly.  Mean times follow
@@ -21,8 +21,7 @@ from .search import SolveStatus, global_search
 _MASK64 = (1 << 64) - 1
 
 HITS_CSV_COLUMNS = ("n", "target_radius", "hits", "attempts", "mean_time_s")
-# a timing table starts with the column of the setting its sweep varies
-TIMING_CSV_COLUMNS = ("n", "radius", "runs", "mean_time_s", "mean_iterations")
+TIMING_CSV_COLUMNS = ("mode", "n", "radius", "runs", "mean_time_s", "mean_iterations")
 
 
 def _mix64(z: int) -> int:
@@ -55,23 +54,18 @@ class BenchRecord:
 
 @dataclass(frozen=True)
 class TimingRecord:
-    """Mean time to a local minimum under one solver configuration."""
+    """Mean time to a local minimum in one evaluation mode."""
 
-    config: SolverConfig
+    mode: str
     n: int
     radius: float
     runs: int
     mean_time_s: float
     mean_iterations: float
 
-    @property
-    def mode(self) -> str:
-        return self.config.mode
-
-    def csv_row(self, setting: str) -> tuple:
-        """Row led by the value of ``setting``, the SolverConfig field swept."""
+    def csv_row(self) -> tuple:
         return (
-            getattr(self.config, setting),
+            self.mode,
             self.n,
             format_decimal(self.radius),
             self.runs,
@@ -121,33 +115,32 @@ def run_hits(
     return records
 
 
-def run_timing(
+def run_mode_timing(
     n: int,
     radius: float,
-    configs: Sequence[SolverConfig],
     runs: int = 10,
     seed_base: int = 0,
+    config: SolverConfig = SolverConfig(),
 ) -> list[TimingRecord]:
-    """Time optimization to a local minimum under each configuration.
-
-    Every configuration starts from the same ``runs`` random layouts.
-    """
+    """Time full-mode and local-mode optimization from the same ``runs``
+    random starts, with the margins of ``config``."""
     starts = [
         random_layout(n, radius, Rng(derive_seed(seed_base, n, rep)))
         for rep in range(runs)
     ]
     records = []
-    for config in configs:
+    for mode in ("full", "local"):
+        settings = vars(replace(config, mode=mode))
         total = 0.0
         iterations = 0
         for layout in starts:
             tick = time.monotonic()
-            outcome = bfgs_minimize(layout, **vars(config))
+            outcome = bfgs_minimize(layout, **settings)
             total += time.monotonic() - tick
             iterations += outcome.iterations
         records.append(
             TimingRecord(
-                config=config,
+                mode=mode,
                 n=n,
                 radius=radius,
                 runs=runs,
@@ -156,18 +149,6 @@ def run_timing(
             )
         )
     return records
-
-
-def run_mode_timing(
-    n: int,
-    radius: float,
-    runs: int = 10,
-    seed_base: int = 0,
-    config: SolverConfig = SolverConfig(),
-) -> list[TimingRecord]:
-    """Time full-mode and local-mode optimization from identical starts."""
-    configs = [replace(config, mode=mode) for mode in ("full", "local")]
-    return run_timing(n, radius, configs, runs=runs, seed_base=seed_base)
 
 
 def write_csv(destination, columns: Sequence[str], rows: Iterable[Sequence]) -> None:

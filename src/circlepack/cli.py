@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .geometry import Rng
@@ -67,7 +66,7 @@ def _load_table(path: str | None):
 
 def _solver_config(args) -> SolverConfig:
     try:
-        return SolverConfig(args.mode, args.l, args.d1, args.d2)
+        return SolverConfig(args.mode, args.d1, args.d2)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -199,6 +198,8 @@ def cmd_bench(args) -> int:
     config = _solver_config(args)
     ns = _parse_ns(args.n)
     if args.experiment == "hits":
+        if args.radius is not None:
+            raise UsageError("--radius applies to --experiment modes only")
         table = _load_table(args.best_known)
         records = bench_mod.run_hits(
             ns,
@@ -221,28 +222,15 @@ def cmd_bench(args) -> int:
     n = ns[0]
     radius = _resolve_radius(args, n, bundled=True)
 
-    if args.experiment == "modes":
-        setting = "mode"
-        records = bench_mod.run_mode_timing(n, radius, args.reps, args.seed, config)
-    else:
-        setting = "refresh_period"
-        configs = [
-            replace(config, mode="local", refresh_period=period)
-            for period in _parse_ns(args.periods)
-        ]
-        records = bench_mod.run_timing(n, radius, configs, args.reps, args.seed)
+    records = bench_mod.run_mode_timing(n, radius, args.reps, args.seed, config)
     for record in records:
-        if setting == "mode":
-            lead = f"mode={record.mode:<5} n={record.n}"
-        else:
-            lead = f"l={record.config.refresh_period:<4d}"
         print(
-            f"{lead} mean_time={record.mean_time_s:.4f}s "
+            f"mode={record.mode:<5} n={record.n} mean_time={record.mean_time_s:.4f}s "
             f"mean_iterations={record.mean_iterations:.1f}"
         )
     if args.out is not None:
-        rows = [record.csv_row(setting) for record in records]
-        bench_mod.write_csv(args.out, (setting, *bench_mod.TIMING_CSV_COLUMNS), rows)
+        rows = [record.csv_row() for record in records]
+        bench_mod.write_csv(args.out, bench_mod.TIMING_CSV_COLUMNS, rows)
         print(f"csv written to {args.out}")
     return EXIT_OK
 
@@ -289,10 +277,6 @@ def _add_solver_flags(parser, include_t1: bool = False) -> None:
     parser.add_argument(
         "--mode", choices=("full", "local"), default=_DEFAULTS.mode,
         help="energy evaluation mode (default %(default)s)",
-    )
-    parser.add_argument(
-        "--l", type=int, default=_DEFAULTS.refresh_period, dest="l",
-        help="neighbor list refresh period in accepted steps (default %(default)d)",
     )
     parser.add_argument(
         "--d1", type=float, default=_DEFAULTS.container_margin, dest="d1",
@@ -366,7 +350,7 @@ def build_parser() -> _Parser:
         "--n", required=True,
         help="circle counts: single value, range '2-10', or comma list",
     )
-    bench.add_argument("--radius", type=_RADIUS, default=None, help="target radius")
+    bench.add_argument("--radius", type=_RADIUS, default=None, help="container radius, modes only")
     bench.add_argument(
         "--best-known", default=None, dest="best_known",
         help="CSV of target radii (default: the bundled table)",
@@ -374,13 +358,8 @@ def build_parser() -> _Parser:
     _add_solver_flags(bench)
     bench.add_argument("--reps", type=_COUNT, default=10, help="runs per cell (default 10)")
     bench.add_argument(
-        "--experiment", choices=("hits", "modes", "refresh"), default="hits",
-        help="hits: hit counts at target radii; modes: full vs local timing; "
-        "refresh: sweep of the neighbor refresh period",
-    )
-    bench.add_argument(
-        "--periods", default="1,2,5,10,20,50",
-        help="refresh periods for --experiment refresh (default 1,2,5,10,20,50)",
+        "--experiment", choices=("hits", "modes"), default="hits",
+        help="hits: hit counts at target radii; modes: full vs local timing",
     )
     bench.add_argument("--out", default=None, help="write the results CSV here")
     bench.set_defaults(func=cmd_bench)

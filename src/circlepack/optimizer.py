@@ -9,7 +9,7 @@ quadratic in n. Above it the direction comes from limited-memory BFGS
 (``lbfgs_direction``): the last ``LBFGS_MEMORY`` step and gradient-change
 pairs, linear in n. Full mode evaluates energy and gradient over every
 pair; local mode restricts both to neighbor lists rebuilt every
-``refresh_period`` accepted steps, so an evaluation costs time linear in
+``REFRESH_PERIOD`` accepted steps, so an evaluation costs time linear in
 the listed terms instead of quadratic in n. At the sizes the searches run,
 n of a few tens, a step costs numpy calls more than arithmetic, which is
 why the line search hands its trial steps to the energy kernel in chunks
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -38,7 +37,9 @@ from .neighbors import (
 
 GRADIENT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 5000
-DEFAULT_REFRESH_PERIOD = 10
+# local mode rebuilds its neighbor lists after this many accepted steps;
+# 1, 5 and 20 each took more restarts than 10 on perfbench's hit-bestknown
+REFRESH_PERIOD = 10
 
 ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 50
@@ -83,13 +84,12 @@ class SolverConfig:
     """Descent settings shared by every layer that runs the optimizer.
 
     ``mode`` is ``full`` (every pair and wall term) or ``local`` (neighbor
-    lists rebuilt every ``refresh_period`` accepted steps, listing pairs and
+    lists rebuilt every ``REFRESH_PERIOD`` accepted steps, listing pairs and
     wall terms within ``pair_margin`` and ``container_margin``). The only
     place these settings are validated.
     """
 
     mode: str = "local"
-    refresh_period: int = DEFAULT_REFRESH_PERIOD
     container_margin: float = DEFAULT_CONTAINER_MARGIN
     pair_margin: float = DEFAULT_PAIR_MARGIN
 
@@ -98,10 +98,6 @@ class SolverConfig:
         if mode not in ("full", "local"):
             raise ValueError(f"mode must be 'full' or 'local', got {self.mode!r}")
         object.__setattr__(self, "mode", mode)
-        period = self.refresh_period
-        # a NaN period would never refresh the index
-        if not isinstance(period, numbers.Integral) or period < 1:
-            raise ValueError(f"refresh_period must be an integer >= 1, got {period!r}")
         for name in ("container_margin", "pair_margin"):
             value = getattr(self, name)
             # written so that NaN fails too
@@ -335,7 +331,6 @@ def bfgs_minimize(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     mode: str = "local",
     rng: Rng | None = None,
-    refresh_period: int = DEFAULT_REFRESH_PERIOD,
     container_margin: float = DEFAULT_CONTAINER_MARGIN,
     pair_margin: float = DEFAULT_PAIR_MARGIN,
     callback: Callable[[BfgsState, IterationRecord], None] | None = None,
@@ -352,7 +347,7 @@ def bfgs_minimize(
     off early with ITERATION_LIMIT: jammed layouts drift by cancellation
     noise only and would otherwise spin out the whole budget.
 
-    In local mode the neighbor index is rebuilt every ``refresh_period``
+    In local mode the neighbor index is rebuilt every ``REFRESH_PERIOD``
     accepted steps. FEASIBLE needs the exact all-pairs energy to confirm an
     index energy below the threshold; an unconfirmed zero or a small
     gradient ends the run only on a fresh index, and a stale one is rebuilt
@@ -363,7 +358,7 @@ def bfgs_minimize(
     dense inverse Hessian, above it from limited-memory BFGS; a
     steepest-descent restart resets either to the identity.
     """
-    config = SolverConfig(mode, refresh_period, container_margin, pair_margin)
+    config = SolverConfig(mode, container_margin, pair_margin)
     # written so that NaN fails too
     if not max_iterations >= 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -457,7 +452,7 @@ def bfgs_minimize(
         state.iteration += 1
         if not covers_all:
             age += 1
-            if age >= refresh_period:
+            if age >= REFRESH_PERIOD:
                 rebuild(x_new)
 
         energy_before = total

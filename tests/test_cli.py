@@ -53,7 +53,6 @@ def test_solve_usage_errors(capsys):
     assert main(["solve", "--n", "2"]) == EXIT_USAGE
     assert main(["solve", "--n", "0", "--radius", "2"]) == EXIT_USAGE
     assert main(["solve", "--n", "2", "--radius", "2", "--mode", "warp"]) == EXIT_USAGE
-    assert main(["solve", "--n", "2", "--radius", "2", "--l", "0"]) == EXIT_USAGE
     assert main(["solve", "--n", "2", "--radius", "2", "--d1", "-1"]) == EXIT_USAGE
     assert main(["solve", "--n", "2", "--radius", "2", "--t0", "0"]) == EXIT_USAGE
     # NaN used to pass the checks: a NaN radius crashed with exit 1 and a
@@ -88,14 +87,13 @@ def test_solve_forwards_solver_flags(monkeypatch, capsys):
     # two circles cannot fit at R = 1.9, so only the restart budget ends the run
     code = main([
         "solve", "--n", "2", "--radius", "1.9", "--t0", "60", "--seed", "1",
-        "--mode", "full", "--l", "3", "--d1", "0.5", "--d2", "0.25", "--max-restarts", "1",
+        "--mode", "full", "--d1", "0.5", "--d2", "0.25", "--max-restarts", "1",
     ])
     assert code == EXIT_NO_SOLUTION
     assert "restarts=1" in capsys.readouterr().out.splitlines()
     assert sum(kwargs.get("radius") is None for kwargs in calls) == 1
     for kwargs in calls:
         assert kwargs["mode"] == "full"
-        assert kwargs["refresh_period"] == 3
         assert kwargs["container_margin"] == 0.5
         assert kwargs["pair_margin"] == 0.25
 
@@ -200,19 +198,23 @@ def test_bench_modes_and_refresh(tmp_path, capsys):
         "--reps", "2", "--seed", "4", "--out", str(modes),
     ])
     assert code == EXIT_OK
-    assert modes.read_text(encoding="utf-8").splitlines()[0] == (
-        "mode,n,radius,runs,mean_time_s,mean_iterations"
-    )
+    lines = modes.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "mode,n,radius,runs,mean_time_s,mean_iterations"
+    assert [line.split(",")[0] for line in lines[1:]] == ["full", "local"]
 
-    refresh = tmp_path / "refresh.csv"
-    code = main([
-        "bench", "--n", "6", "--radius", "3.3", "--experiment", "refresh",
-        "--periods", "5,10", "--reps", "2", "--seed", "4", "--out", str(refresh),
-    ])
-    assert code == EXIT_OK
-    lines = refresh.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "refresh_period,n,radius,runs,mean_time_s,mean_iterations"
-    assert len(lines) == 3
+    # the neighbour refresh period is a constant, no longer a setting
+    base = ["bench", "--n", "6", "--radius", "3.3", "--reps", "1"]
+    assert main([*base, "--experiment", "refresh"]) == EXIT_USAGE
+    assert main([*base, "--experiment", "modes", "--periods", "5"]) == EXIT_USAGE
+    assert main([*base, "--experiment", "modes", "--l", "3"]) == EXIT_USAGE
+
+
+def test_bench_hits_rejects_radius(capsys):
+    # hits reads its target radii from the table; --radius used to be
+    # ignored there, so the run went on at the table radius and exited 0
+    code = main(["bench", "--n", "5", "--radius", "9", "--experiment", "hits", "--reps", "1"])
+    assert code == EXIT_USAGE
+    assert "--radius" in capsys.readouterr().err
 
 
 def test_derive_seed_is_stable_and_spread():

@@ -597,14 +597,12 @@ def index_ages(layout, **options):
 
 
 def test_index_age_counts_steps_since_rebuild():
-    # local mode rebuilds every refresh_period steps, and the age a step
+    # local mode rebuilds every REFRESH_PERIOD steps, and the age a step
     # reports is the number of steps taken on its index before it; below
     # the best-known radius 6.197 of n = 30 the descent takes all 40 steps
     layout = random_layout(30, 5.9, Rng(4))
-    for period in (1, 3, 10):
-        ages = index_ages(layout, refresh_period=period, max_iterations=40)
-        assert len(ages) == 40
-        assert ages == [k % period for k in range(40)]
+    ages = index_ages(layout, max_iterations=40)
+    assert ages == [k % optimizer.REFRESH_PERIOD for k in range(40)]
     # a full index, or one whose infinite margins list every term, never ages
     assert set(index_ages(layout, mode="full", max_iterations=40)) == {0}
     assert set(
@@ -668,19 +666,16 @@ def test_bfgs_rejects_unknown_mode():
         {"pair_margin": -1.5},
         {"container_margin": math.nan},
         {"pair_margin": math.nan},
-        {"refresh_period": math.nan},
-        {"refresh_period": 1.5},
         {"max_iterations": math.nan},
     ],
     ids=[
         "negative-container", "negative-pair", "nan-container", "nan-pair",
-        "nan-refresh", "fractional-refresh", "nan-iterations",
+        "nan-iterations",
     ],
 )
 def test_bfgs_rejects_bad_margins(setting):
     # a negative or NaN margin lists too few terms (NaN lists none), so the
-    # descent would stop early and report a false GRADIENT_CONVERGED; a NaN
-    # refresh period never refreshes the index
+    # descent would stop early and report a false GRADIENT_CONVERGED
     layout = random_layout(20, 4.5, Rng(1))
     with pytest.raises(ValueError):
         bfgs_minimize(layout, **setting)
