@@ -16,7 +16,7 @@ from .geometry import (
     total_energy,
 )
 from .neighbors import energy_gradient_full
-from .optimizer import SolverConfig, bfgs_minimize
+from .optimizer import bfgs_minimize
 from .search import (
     SolveStatus,
     basin_hop,
@@ -49,7 +49,6 @@ __all__ = [
     "random_layout",
     "total_energy",
     "energy_gradient_full",
-    "SolverConfig",
     "bfgs_minimize",
     "SolveStatus",
     "basin_hop",

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .geometry import Rng, random_layout
 from .layout_io import BestKnownTable, format_decimal
-from .optimizer import SolverConfig, bfgs_minimize
+from .optimizer import bfgs_minimize
 from .search import SolveStatus, global_search
 
 _MASK64 = (1 << 64) - 1
@@ -81,7 +81,6 @@ def run_hits(
     time_limit: float = 60.0,
     seed_base: int = 0,
     max_restarts: int | None = None,
-    config: SolverConfig = SolverConfig(),
     progress=None,
 ) -> list[BenchRecord]:
     """Repeat global_search at the target radius for each n.
@@ -95,9 +94,7 @@ def run_hits(
         hits = 0
         times = []
         for seed in seeds:
-            report = global_search(
-                n, radius, time_limit, rng=Rng(seed), max_restarts=max_restarts, config=config
-            )
+            report = global_search(n, radius, time_limit, rng=Rng(seed), max_restarts=max_restarts)
             if report.status is SolveStatus.FEASIBLE:
                 hits += 1
                 times.append(report.elapsed)
@@ -116,26 +113,21 @@ def run_hits(
 
 
 def run_mode_timing(
-    n: int,
-    radius: float,
-    runs: int = 10,
-    seed_base: int = 0,
-    config: SolverConfig = SolverConfig(),
+    n: int, radius: float, runs: int = 10, seed_base: int = 0
 ) -> list[TimingRecord]:
     """Time full-mode and local-mode optimization from the same ``runs``
-    random starts, with the margins of ``config``."""
+    random starts, local mode with the default margins."""
     starts = [
         random_layout(n, radius, Rng(derive_seed(seed_base, n, rep)))
         for rep in range(runs)
     ]
     records = []
     for mode in ("full", "local"):
-        settings = vars(replace(config, mode=mode))
         total = 0.0
         iterations = 0
         for layout in starts:
             tick = time.monotonic()
-            outcome = bfgs_minimize(layout, **settings)
+            outcome = bfgs_minimize(layout, mode=mode)
             total += time.monotonic() - tick
             iterations += outcome.iterations
         records.append(

@@ -25,7 +25,6 @@ from .layout_io import (
     verify_layout,
     write_layout,
 )
-from .optimizer import SolverConfig
 from .rendering import render_svg
 from .search import (
     DEFAULT_ATTEMPT_SECONDS,
@@ -64,13 +63,6 @@ def _load_table(path: str | None):
     return read_best_known(path)
 
 
-def _solver_config(args) -> SolverConfig:
-    try:
-        return SolverConfig(args.mode, args.d1, args.d2)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _resolve_radius(args, n: int, bundled: bool = False) -> float:
     """``--radius``, else the entry for ``n`` in the ``--best-known`` table,
     else, when ``bundled``, in the bundled table."""
@@ -107,7 +99,6 @@ def _write_outputs(report, args) -> None:
 
 
 def cmd_solve(args) -> int:
-    config = _solver_config(args)
     radius = _resolve_radius(args, args.n)
     report = global_search(
         args.n,
@@ -115,7 +106,6 @@ def cmd_solve(args) -> int:
         args.t0,
         rng=Rng(args.seed),
         max_restarts=args.max_restarts,
-        config=config,
     )
     for line in _report_lines(report):
         print(line)
@@ -124,7 +114,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_improve(args) -> int:
-    config = _solver_config(args)
     start_radius = _resolve_radius(args, args.n)
     report = minimize_radius(
         args.n,
@@ -133,7 +122,6 @@ def cmd_improve(args) -> int:
         t1=args.t1,
         rng=Rng(args.seed),
         max_restarts=args.max_restarts,
-        config=config,
     )
     print(f"start_radius={format_decimal(start_radius)}")
     for line in _report_lines(report):
@@ -195,7 +183,6 @@ def _parse_ns(text: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    config = _solver_config(args)
     ns = _parse_ns(args.n)
     if args.experiment == "hits":
         if args.radius is not None:
@@ -205,10 +192,9 @@ def cmd_bench(args) -> int:
             ns,
             table,
             reps=args.reps,
-            time_limit=args.t0,
+            time_limit=DEFAULT_ATTEMPT_SECONDS if args.t0 is None else args.t0,
             seed_base=args.seed,
             max_restarts=args.max_restarts,
-            config=config,
             progress=lambda record: print(bench_mod.format_hits_line(record)),
         )
         if args.out is not None:
@@ -217,12 +203,15 @@ def cmd_bench(args) -> int:
             print(f"csv written to {args.out}")
         return EXIT_OK
 
+    # a timed descent's only budget is bfgs_minimize's iteration cap
+    if args.t0 is not None or args.max_restarts is not None:
+        raise UsageError("--t0 and --max-restarts apply to --experiment hits only")
     if len(ns) != 1:
         raise UsageError(f"--experiment {args.experiment} needs a single --n")
     n = ns[0]
     radius = _resolve_radius(args, n, bundled=True)
 
-    records = bench_mod.run_mode_timing(n, radius, args.reps, args.seed, config)
+    records = bench_mod.run_mode_timing(n, radius, args.reps, args.seed)
     for record in records:
         print(
             f"mode={record.mode:<5} n={record.n} mean_time={record.mean_time_s:.4f}s "
@@ -256,14 +245,13 @@ _SEED = _at_least(int, 0)
 _RADIUS = _at_least(float, 1.0, finite=True)
 _SECONDS = _at_least(float, 0.0, strict=True)
 _TOLERANCE = _at_least(float, 0.0)
-_DEFAULTS = SolverConfig()
 
 
 def _add_solver_flags(parser, include_t1: bool = False) -> None:
     parser.add_argument("--seed", type=_SEED, default=0, help="random seed (default 0)")
     parser.add_argument(
         "--t0", type=_SECONDS, default=DEFAULT_ATTEMPT_SECONDS,
-        help="time budget per search attempt in seconds (default %(default)g)",
+        help=f"time budget per search attempt in seconds (default {DEFAULT_ATTEMPT_SECONDS:g})",
     )
     if include_t1:
         parser.add_argument(
@@ -273,18 +261,6 @@ def _add_solver_flags(parser, include_t1: bool = False) -> None:
     parser.add_argument(
         "--max-restarts", type=_COUNT, default=None, dest="max_restarts",
         help="deterministic restart budget instead of relying on the clock",
-    )
-    parser.add_argument(
-        "--mode", choices=("full", "local"), default=_DEFAULTS.mode,
-        help="energy evaluation mode (default %(default)s)",
-    )
-    parser.add_argument(
-        "--d1", type=float, default=_DEFAULTS.container_margin, dest="d1",
-        help="container adjacency margin (default %(default)g)",
-    )
-    parser.add_argument(
-        "--d2", type=float, default=_DEFAULTS.pair_margin, dest="d2",
-        help="pair adjacency margin (default %(default)g)",
     )
 
 
@@ -356,6 +332,8 @@ def build_parser() -> _Parser:
         help="CSV of target radii (default: the bundled table)",
     )
     _add_solver_flags(bench)
+    # unset unless given, so that modes can reject it; hits resolves it
+    bench.set_defaults(t0=None)
     bench.add_argument("--reps", type=_COUNT, default=10, help="runs per cell (default 10)")
     bench.add_argument(
         "--experiment", choices=("hits", "modes"), default="hits",

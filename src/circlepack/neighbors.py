@@ -53,8 +53,8 @@ def _build_index_raw(centers, radius, container_margin, pair_margin) -> Neighbor
     is listed when the circle's boundary lies no more than
     ``container_margin`` outside the wall of ``radius``: every circle
     inside is listed, and a circle farther outside is not. The margins are
-    not validated here; ``optimizer.SolverConfig`` does that, and the
-    optimizer is its only caller in the package.
+    not validated here; ``optimizer.bfgs_minimize`` does that, and it is
+    the only caller in the package.
     """
     pair_i, pair_j = candidate_pairs(centers, 2.0 + pair_margin)
     delta = centers.take(pair_i, axis=0) - centers.take(pair_j, axis=0)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -77,32 +77,6 @@ REFINE_CAP = 4.0
 # make real progress anymore and is cut off as ITERATION_LIMIT
 STALL_WINDOW = 100
 STALL_RELATIVE_DROP = 1e-12
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Descent settings shared by every layer that runs the optimizer.
-
-    ``mode`` is ``full`` (every pair and wall term) or ``local`` (neighbor
-    lists rebuilt every ``REFRESH_PERIOD`` accepted steps, listing pairs and
-    wall terms within ``pair_margin`` and ``container_margin``). The only
-    place these settings are validated.
-    """
-
-    mode: str = "local"
-    container_margin: float = DEFAULT_CONTAINER_MARGIN
-    pair_margin: float = DEFAULT_PAIR_MARGIN
-
-    def __post_init__(self):
-        mode = str(self.mode).strip().lower()
-        if mode not in ("full", "local"):
-            raise ValueError(f"mode must be 'full' or 'local', got {self.mode!r}")
-        object.__setattr__(self, "mode", mode)
-        for name in ("container_margin", "pair_margin"):
-            value = getattr(self, name)
-            # written so that NaN fails too
-            if not value >= 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 class OptimizeStatus(enum.Enum):
@@ -347,19 +321,30 @@ def bfgs_minimize(
     off early with ITERATION_LIMIT: jammed layouts drift by cancellation
     noise only and would otherwise spin out the whole budget.
 
-    In local mode the neighbor index is rebuilt every ``REFRESH_PERIOD``
-    accepted steps. FEASIBLE needs the exact all-pairs energy to confirm an
-    index energy below the threshold; an unconfirmed zero or a small
-    gradient ends the run only on a fresh index, and a stale one is rebuilt
-    first. With both margins infinite the index provably covers every term,
-    so the local run follows the full-mode trajectory bit for bit.
+    ``mode`` is ``full`` (every pair and wall term) or ``local`` (neighbor
+    lists of the pairs within ``pair_margin`` and the wall terms within
+    ``container_margin``, rebuilt every ``REFRESH_PERIOD`` accepted steps);
+    both margins must be >= 0. These are the descent settings: the search
+    layers above always run the defaults, so this is the only function
+    that takes them and the only place they are checked.
+
+    FEASIBLE needs the exact all-pairs energy to confirm an index energy
+    below the threshold; an unconfirmed zero or a small gradient ends the
+    run only on a fresh index, and a stale one is rebuilt first. With both
+    margins infinite the index provably covers every term, so the local run
+    follows the full-mode trajectory bit for bit.
 
     Up to ``DENSE_MAX_CIRCLES`` circles the search direction comes from a
     dense inverse Hessian, above it from limited-memory BFGS; a
     steepest-descent restart resets either to the identity.
     """
-    config = SolverConfig(mode, container_margin, pair_margin)
-    # written so that NaN fails too
+    if mode not in ("full", "local"):
+        raise ValueError(f"mode must be 'full' or 'local', got {mode!r}")
+    # each check is written so that NaN fails too
+    if not container_margin >= 0.0:
+        raise ValueError(f"container_margin must be >= 0, got {container_margin}")
+    if not pair_margin >= 0.0:
+        raise ValueError(f"pair_margin must be >= 0, got {pair_margin}")
     if not max_iterations >= 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     r = layout.radius if radius is None else float(radius)
@@ -368,7 +353,7 @@ def bfgs_minimize(
 
     n = layout.n
     # with both margins infinite the index lists every term and never ages
-    covers_all = config.mode == "full" or (math.isinf(container_margin) and math.isinf(pair_margin))
+    covers_all = mode == "full" or (math.isinf(container_margin) and math.isinf(pair_margin))
     evaluations = 0
     # accepted steps since the index was built
     age = 0
@@ -393,7 +378,7 @@ def bfgs_minimize(
         return k, value
 
     x = np.array(layout.centers, dtype=float).reshape(-1)
-    if config.mode == "full":
+    if mode == "full":
         index = full_index(n)
     else:
         rebuild(x)
@@ -493,21 +478,11 @@ def bfgs_minimize(
     )
 
 
-def run_bounded(
-    layout: Layout,
-    radius: float,
-    h: int,
-    rng: Rng | None = None,
-    config: SolverConfig = SolverConfig(),
-) -> Layout:
+def run_bounded(layout: Layout, radius: float, h: int, rng: Rng | None = None) -> Layout:
     """Run at most ``h`` local-mode steps at ``radius`` and return the layout.
 
     No feasibility requirement: this is the short burst the hop strategies
     use to let a perturbed layout settle; ``bfgs_minimize`` rejects an
-    ``h`` below 1. The settle runs in local mode whatever ``config.mode``
-    says.
+    ``h`` below 1.
     """
-    outcome = bfgs_minimize(
-        layout, radius=radius, max_iterations=h, rng=rng, **vars(replace(config, mode="local"))
-    )
-    return outcome.layout
+    return bfgs_minimize(layout, radius=radius, max_iterations=h, rng=rng).layout

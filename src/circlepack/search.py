@@ -12,10 +12,10 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .geometry import Layout, Rng, is_feasible, random_layout
-from .optimizer import OptimizeStatus, SolverConfig, bfgs_minimize, run_bounded
+from .optimizer import OptimizeStatus, bfgs_minimize, run_bounded
 
 SHRINK_FACTOR_BASE = 0.3
 SHRINK_FACTOR_STEP = 0.035
@@ -74,12 +74,7 @@ class SolveReport:
     seed: int
 
 
-def basin_hop(
-    layout: Layout,
-    radius: float | None = None,
-    rng: Rng | None = None,
-    config: SolverConfig = SolverConfig(),
-) -> HopBatch:
+def basin_hop(layout: Layout, radius: float | None = None, rng: Rng | None = None) -> HopBatch:
     """Perturb a stuck layout by briefly optimizing in shrunken containers.
 
     For each shrink factor the container radius is scaled down, the source
@@ -98,7 +93,7 @@ def basin_hop(
     for beta in betas:
         shrunken = beta * source_radius
         h = int(rng.integers(lo, hi + 1))
-        members.append(run_bounded(layout, shrunken, h, rng=rng, config=config))
+        members.append(run_bounded(layout, shrunken, h, rng=rng))
     return HopBatch(layouts=tuple(members), betas=betas, source_radius=source_radius)
 
 
@@ -108,7 +103,6 @@ def global_search(
     time_limit: float,
     rng: Rng,
     max_restarts: int | None = None,
-    config: SolverConfig = SolverConfig(),
 ) -> SolveReport:
     """Search for a feasible packing of ``n`` unit circles at ``radius``.
 
@@ -147,7 +141,7 @@ def global_search(
         )
 
     def optimize(lay, at_radius=None):
-        return bfgs_minimize(lay, radius=at_radius, rng=rng, **vars(config))
+        return bfgs_minimize(lay, radius=at_radius, rng=rng)
 
     while time.monotonic() < deadline:
         if max_restarts is not None and restarts >= max_restarts:
@@ -161,7 +155,7 @@ def global_search(
             return report(SolveStatus.FEASIBLE, outcome.layout)
         if time.monotonic() >= deadline:
             break
-        batch = basin_hop(outcome.layout, rng=rng, config=config)
+        batch = basin_hop(outcome.layout, rng=rng)
         hops += 1
         for member in batch.layouts:
             if time.monotonic() >= deadline:
@@ -192,10 +186,7 @@ class AdjustResult:
 
 
 def container_adjust(
-    layout: Layout,
-    radius: float | None = None,
-    rng: Rng | None = None,
-    config: SolverConfig = SolverConfig(),
+    layout: Layout, radius: float | None = None, rng: Rng | None = None
 ) -> AdjustResult:
     """Shrink a feasible layout's container to the smallest feasible radius.
 
@@ -204,8 +195,7 @@ def container_adjust(
     at every probe, until a probe comes out infeasible; then bisects the
     bracket down to RADIUS_RESOLUTION. The returned radius never exceeds the
     input radius and never goes below 1 (a single unit circle needs that
-    much container). Probes descend in local mode whatever ``config.mode``
-    says.
+    much container). Probes descend in local mode with the default margins.
     """
     r_input = layout.radius if radius is None else float(radius)
     source = layout.with_radius(r_input)
@@ -213,12 +203,11 @@ def container_adjust(
         raise ValueError("container_adjust requires a feasible starting layout")
 
     probes = 0
-    settings = vars(replace(config, mode="local"))
 
     def reoptimize(at_radius):
         nonlocal probes
         probes += 1
-        return bfgs_minimize(source, radius=at_radius, rng=rng, **settings)
+        return bfgs_minimize(source, radius=at_radius, rng=rng)
 
     r_upper = r_input
     best = source
@@ -251,7 +240,6 @@ def minimize_radius(
     t1: float = DEFAULT_TOTAL_SECONDS,
     rng: Rng | None = None,
     max_restarts: int | None = None,
-    config: SolverConfig = SolverConfig(),
 ) -> SolveReport:
     """Drive the search toward the smallest radius reachable before ``t1``.
 
@@ -296,13 +284,13 @@ def minimize_radius(
         budget = min(float(t0), deadline - time.monotonic())
         if budget <= 0.0:
             break
-        attempt = global_search(n, r_current, budget, rng, max_restarts=max_restarts, config=config)
+        attempt = global_search(n, r_current, budget, rng, max_restarts=max_restarts)
         restarts += attempt.restarts
         hops += attempt.hops
         if attempt.status is SolveStatus.STUCK:
             break
         if attempt.status is SolveStatus.FEASIBLE:
-            adjusted = container_adjust(attempt.layout, rng=rng, config=config)
+            adjusted = container_adjust(attempt.layout, rng=rng)
             if r_current - adjusted.radius <= RADIUS_RESOLUTION:
                 break
             r_current = adjusted.radius

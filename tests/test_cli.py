@@ -11,6 +11,7 @@ from circlepack.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
+from circlepack.search import DEFAULT_ATTEMPT_SECONDS
 
 
 @pytest.fixture
@@ -52,8 +53,6 @@ def test_solve_timeout_exit_code(capsys):
 def test_solve_usage_errors(capsys):
     assert main(["solve", "--n", "2"]) == EXIT_USAGE
     assert main(["solve", "--n", "0", "--radius", "2"]) == EXIT_USAGE
-    assert main(["solve", "--n", "2", "--radius", "2", "--mode", "warp"]) == EXIT_USAGE
-    assert main(["solve", "--n", "2", "--radius", "2", "--d1", "-1"]) == EXIT_USAGE
     assert main(["solve", "--n", "2", "--radius", "2", "--t0", "0"]) == EXIT_USAGE
     # NaN used to pass the checks: a NaN radius crashed with exit 1 and a
     # NaN time limit ended the run at once with exit 2
@@ -75,7 +74,7 @@ def test_negative_seed_is_a_usage_error(command, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_solve_forwards_solver_flags(monkeypatch, capsys):
+def test_solve_descents_take_no_solver_settings(monkeypatch, capsys):
     calls = []
     real = cp.search.bfgs_minimize
 
@@ -87,15 +86,26 @@ def test_solve_forwards_solver_flags(monkeypatch, capsys):
     # two circles cannot fit at R = 1.9, so only the restart budget ends the run
     code = main([
         "solve", "--n", "2", "--radius", "1.9", "--t0", "60", "--seed", "1",
-        "--mode", "full", "--d1", "0.5", "--d2", "0.25", "--max-restarts", "1",
+        "--max-restarts", "1",
     ])
     assert code == EXIT_NO_SOLUTION
     assert "restarts=1" in capsys.readouterr().out.splitlines()
-    assert sum(kwargs.get("radius") is None for kwargs in calls) == 1
-    for kwargs in calls:
-        assert kwargs["mode"] == "full"
-        assert kwargs["container_margin"] == 0.5
-        assert kwargs["pair_margin"] == 0.25
+    # the descent settings are bfgs_minimize keywords that no search sets
+    assert calls and all(set(kwargs) == {"radius", "rng"} for kwargs in calls)
+    assert sum(kwargs["radius"] is None for kwargs in calls) == 1
+
+    # so the command line has no flags for them
+    commands = {
+        "solve": ["solve", "--n", "2", "--radius", "2", "--max-restarts", "1"],
+        "improve": ["improve", "--n", "2", "--radius", "2", "--max-restarts", "1"],
+        "bench": ["bench", "--n", "2", "--radius", "2", "--experiment", "modes", "--reps", "1"],
+    }
+    flags = [["--mode", "full"], ["--mode", "warp"], ["--d1", "0.5"], ["--d1", "-1"],
+             ["--d2", "0.25"]]
+    for argv in commands.values():
+        for flag in flags:
+            assert main([*argv, *flag]) == EXIT_USAGE
+            assert flag[0] in capsys.readouterr().err
 
 
 def test_solve_missing_table_entry(table_csv):
@@ -215,6 +225,27 @@ def test_bench_hits_rejects_radius(capsys):
     code = main(["bench", "--n", "5", "--radius", "9", "--experiment", "hits", "--reps", "1"])
     assert code == EXIT_USAGE
     assert "--radius" in capsys.readouterr().err
+
+
+def test_bench_t0_and_max_restarts_apply_to_hits_only(monkeypatch, capsys):
+    # modes times descents, whose only budget is the iteration cap; both
+    # flags used to be ignored there and the run exited 0
+    base = ["bench", "--n", "3", "--radius", "3", "--experiment", "modes", "--reps", "1"]
+    for flag in (["--t0", "0.001"], ["--max-restarts", "5"]):
+        assert main([*base, *flag]) == EXIT_USAGE
+        assert flag[0] in capsys.readouterr().err
+
+    # hits still takes both, and --t0 defaults to the per-attempt budget
+    limits = []
+
+    def fake_run_hits(ns, table, **kwargs):
+        limits.append((kwargs["time_limit"], kwargs["max_restarts"]))
+        return []
+
+    monkeypatch.setattr(cp.bench, "run_hits", fake_run_hits)
+    assert main(["bench", "--n", "3"]) == EXIT_OK
+    assert main(["bench", "--n", "3", "--t0", "7", "--max-restarts", "2"]) == EXIT_OK
+    assert limits == [(DEFAULT_ATTEMPT_SECONDS, None), (7.0, 2)]
 
 
 def test_derive_seed_is_stable_and_spread():

@@ -655,8 +655,10 @@ def test_local_mode_finds_same_quality_as_full():
 
 def test_bfgs_rejects_unknown_mode():
     layout = random_layout(3, 3.0, Rng(0))
-    with pytest.raises(ValueError):
-        bfgs_minimize(layout, mode="turbo")
+    # exactly "full" and "local": the mode is not normalised
+    for mode in ("turbo", "FULL"):
+        with pytest.raises(ValueError, match="mode"):
+            bfgs_minimize(layout, mode=mode)
 
 
 @pytest.mark.parametrize(

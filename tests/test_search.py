@@ -48,6 +48,17 @@ def test_basin_hop_seed_reproducible():
         assert la.radius == lb.radius
 
 
+def test_basin_hop_settles_through_run_bounded(monkeypatch):
+    # perfbench counts every search.bfgs_minimize call with a radius as a
+    # hop re-optimisation, so the settles must not go through that name
+    def forbidden(*args, **kwargs):
+        raise AssertionError("basin_hop called search.bfgs_minimize")
+
+    monkeypatch.setattr(search, "bfgs_minimize", forbidden)
+    batch = basin_hop(random_layout(8, 2.6, Rng(5)), rng=Rng(41))
+    assert len(batch.layouts) == 20
+
+
 def test_basin_hop_hop_lengths_in_range():
     lo, hi = HOP_ITERATION_RANGE
     assert (lo, hi) == (50, 100)
