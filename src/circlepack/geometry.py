@@ -232,7 +232,7 @@ def evaluate_pairs(
     c = cdepth[wall_active]
     # depths are >= 0, so initial=0.0 changes no maximum of a non-empty list
     energy = Energy(
-        total=2.0 * float(np.dot(d, d)) + float(np.dot(c, c)),
+        total=2.0 * float(d.dot(d)) + float(c.dot(c)),
         max_pair_depth=float(pdepth.max(initial=0.0)),
         max_container_depth=float(cdepth.max(initial=0.0)),
     )

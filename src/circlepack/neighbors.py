@@ -91,7 +91,7 @@ def index_energy(
     that one point. Trial points, gathers, ``hypot`` and ``maximum`` are
     elementwise, so they are computed for a block of rows in one pass. The
     sums are not: BLAS sums a vector in an order set by its length, so each
-    row's active depths are compacted and go through the same ``np.dot``
+    row's active depths are compacted and go through the same dot product
     that ``evaluate_pairs`` takes; summing a row with its zero depths left
     in would change the last bits. A block holds at most _TRIAL_ELEMENTS
     row-by-term depths, so a wide index (about 1,500 terms at n = 400) is
@@ -113,7 +113,7 @@ def index_energy(
         for k in range(lam.size):
             p = pair_depth[k][pair_active[k]]
             c = wall_depth[k][wall_active[k]]
-            value = 2.0 * float(np.dot(p, p)) + float(np.dot(c, c))
+            value = 2.0 * float(p.dot(p)) + float(c.dot(c))
             if value <= limits[start + k]:
                 return start + k, value
     return steps.size, value

@@ -228,7 +228,7 @@ def update_inverse_hessian(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.nd
     and ``h - (-0.0)``, like ``h + (+0.0)`` and ``h + (-0.0)``, are ``h``.
     """
     ys = float(np.dot(y, s))
-    floor = CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
+    floor = CURVATURE_FLOOR * math.sqrt(float(s.dot(s))) * math.sqrt(float(y.dot(y)))
     if ys <= floor:
         return h
     rho = 1.0 / ys
@@ -268,7 +268,7 @@ def lbfgs_push(memory: list, s: np.ndarray, y: np.ndarray) -> None:
     ``memory`` holds ``LBFGS_MEMORY``. Entries are (s, y, 1/(y.s)).
     """
     ys = float(np.dot(y, s))
-    if ys <= CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+    if ys <= CURVATURE_FLOOR * math.sqrt(float(s.dot(s))) * math.sqrt(float(y.dot(y))):
         return
     if len(memory) >= LBFGS_MEMORY:
         del memory[0]
@@ -391,7 +391,8 @@ def bfgs_minimize(
     stall_anchor = 0
 
     while True:
-        gnorm = float(np.linalg.norm(g))
+        # the bits of np.linalg.norm(g), without its dispatch
+        gnorm = math.sqrt(float(g.dot(g)))
         # reported only on an exit from this iteration, never after a rebuild
         exact = None
         if total < FEASIBLE_ENERGY:

@@ -4,7 +4,8 @@ Three layers: a container-shrinking hop that perturbs a stuck layout into
 twenty restart candidates, a time-boxed global search that alternates random
 restarts with hop batches, and a radius-minimizing driver that alternates
 the global search with a bisection-based container adjustment until the
-radius stops improving.
+radius stops improving. The global search settles each hop member only when
+it reaches that member; ``basin_hop`` settles all twenty at once.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .geometry import Layout, Rng, is_feasible, random_layout
@@ -45,6 +47,7 @@ class SolveStatus(enum.Enum):
 class HopBatch:
     """Twenty perturbed layouts derived from one stuck source layout.
 
+    The eager form of a hop: every member is settled, in shrink order.
     Each member keeps the source coordinates as its optimization start and
     carries the shrunken radius it settled at; callers restore the search
     radius when they reoptimize the members.
@@ -61,8 +64,8 @@ class SolveReport:
 
     ``status`` FEASIBLE guarantees ``layout`` passes the feasibility test at
     ``radius``. ``restarts`` counts random initializations, ``hops`` counts
-    hop batches, both summed over the whole run. ``seed`` echoes the random
-    source for reproduction.
+    hop batches started, both summed over the whole run. ``seed`` echoes
+    the random source for reproduction.
     """
 
     status: SolveStatus
@@ -74,6 +77,19 @@ class SolveReport:
     seed: int
 
 
+def _hop_members(layout: Layout, radius: float, rng: Rng) -> Iterator[Layout]:
+    """Yield the hop members of ``layout`` in shrink order, each settled on demand.
+
+    Only when asked for, a member draws its settle length h from
+    HOP_ITERATION_RANGE (inclusive) and runs at most h local steps at beta *
+    ``radius``.
+    """
+    lo, hi = HOP_ITERATION_RANGE
+    for beta in shrink_factors():
+        h = int(rng.integers(lo, hi + 1))
+        yield run_bounded(layout, beta * radius, h, rng=rng)
+
+
 def basin_hop(layout: Layout, radius: float | None = None, rng: Rng | None = None) -> HopBatch:
     """Perturb a stuck layout by briefly optimizing in shrunken containers.
 
@@ -82,19 +98,14 @@ def basin_hop(layout: Layout, radius: float | None = None, rng: Rng | None = Non
     of iterations drawn from HOP_ITERATION_RANGE (inclusive). All twenty
     members start from the same source layout; crowding everything toward
     the center and letting it re-expand is what kicks the search out of the
-    current basin.
+    current basin. This is the eager form: all twenty members are settled
+    before it returns.
     """
     if rng is None:
         rng = Rng(0)
     source_radius = layout.radius if radius is None else float(radius)
-    lo, hi = HOP_ITERATION_RANGE
-    betas = shrink_factors()
-    members = []
-    for beta in betas:
-        shrunken = beta * source_radius
-        h = int(rng.integers(lo, hi + 1))
-        members.append(run_bounded(layout, shrunken, h, rng=rng))
-    return HopBatch(layouts=tuple(members), betas=betas, source_radius=source_radius)
+    members = tuple(_hop_members(layout, source_radius, rng))
+    return HopBatch(layouts=members, betas=shrink_factors(), source_radius=source_radius)
 
 
 def global_search(
@@ -108,8 +119,12 @@ def global_search(
 
     Random restarts, each optimized to a local minimum; stuck minima get one
     hop batch whose members are reoptimized at the original radius in shrink
-    order, first feasible wins. The clock is checked between optimizer
-    calls, so the run can overshoot ``time_limit`` by at most one call.
+    order, first feasible wins. A member is settled only when the search
+    reaches it; the report is that of ``basin_hop`` followed by the
+    reoptimizations, bit for bit, unless a reoptimization nudges coincident
+    centers (its ``rng`` draw then comes before the next settle's). The
+    clock is checked before each restart and each hop member, so the run
+    can overshoot ``time_limit`` by at most one settle plus one descent.
     Returns the feasible layout, or the lowest-energy layout seen with
     status TIMEOUT (clock expired) or STUCK (restart budget exhausted).
     """
@@ -155,10 +170,11 @@ def global_search(
             return report(SolveStatus.FEASIBLE, outcome.layout)
         if time.monotonic() >= deadline:
             break
-        batch = basin_hop(outcome.layout, rng=rng)
         hops += 1
-        for member in batch.layouts:
-            if time.monotonic() >= deadline:
+        members = _hop_members(outcome.layout, radius, rng)
+        while time.monotonic() < deadline:
+            member = next(members, None)
+            if member is None:
                 break
             hopped = optimize(member, at_radius=radius)
             if hopped.energy.total < best_total:

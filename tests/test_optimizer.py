@@ -415,7 +415,8 @@ def reset_by_copying_identity(h):
 
 
 def test_search_with_restarts_matches_allocating_update(monkeypatch):
-    # hop settles at n = 16 take accepted steepest-descent restarts, so the
+    # the eager hop batch on a stuck n = 16 restart takes accepted
+    # steepest-descent restarts in its settles (3 of 837 steps), so the
     # in-place reset to the identity shapes the steps after them
     descend = optimizer.bfgs_minimize
 
@@ -429,18 +430,22 @@ def test_search_with_restarts_matches_allocating_update(monkeypatch):
             return descend(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "bfgs_minimize", recorded)
-        monkeypatch.setattr(search, "bfgs_minimize", recorded)
-        report = cp.global_search(16, cp.load_best_known().radius_for(16), 600.0, Rng(0), max_restarts=8)
-        return report, steps
+        rng = Rng(0)
+        radius = cp.load_best_known().radius_for(16)
+        stuck = recorded(random_layout(16, radius, rng), rng=rng)
+        batch = cp.basin_hop(stuck.layout, rng=rng)
+        return stuck, batch, steps
 
-    got, got_steps = run()
+    got, got_batch, got_steps = run()
     assert any(restarted for restarted, _ in got_steps)
     monkeypatch.setattr(optimizer, "update_inverse_hessian", update_by_allocating_formula)
     monkeypatch.setattr(optimizer, "_reset_to_identity", reset_by_copying_identity)
-    want, want_steps = run()
+    want, want_batch, want_steps = run()
     assert got_steps == want_steps
     assert got.status is want.status
     assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
+    for a, b in zip(got_batch.layouts, want_batch.layouts):
+        assert a.centers.tobytes() == b.centers.tobytes()
 
 
 def descend_recorded(layout, **options):

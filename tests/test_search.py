@@ -6,6 +6,8 @@ import pytest
 
 from circlepack import search
 from circlepack.geometry import Layout, Rng, is_feasible, random_layout
+from circlepack.layout_io import load_best_known
+from circlepack.optimizer import OptimizeStatus, bfgs_minimize
 from circlepack.search import (
     HOP_ITERATION_RANGE,
     RADIUS_RESOLUTION,
@@ -120,6 +122,75 @@ def test_global_search_timeout_inside_hop_batch(monkeypatch):
     assert (report.restarts, report.hops) == (1, 1)
     assert radii == [None, 1.9]
     assert not is_feasible(report.layout)
+
+
+def test_global_search_settles_only_the_members_it_reoptimizes(monkeypatch):
+    # at n = 14 the first hop batch hits at its second member, so the
+    # eighteen members after it are never settled
+    real = search.run_bounded
+    settles = []
+
+    def counted(*args, **kwargs):
+        settles.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "run_bounded", counted)
+    radius = load_best_known().radius_for(14)
+    report = global_search(14, radius, 600.0, Rng(0))
+    assert report.status is SolveStatus.FEASIBLE
+    assert report.hops == 1
+    assert settles == [beta * radius for beta in shrink_factors()[:2]]
+
+
+def eager_global_search(n, radius, rng, max_restarts):
+    """The search with each hop batch settled in full before any member is
+    reoptimized: ``basin_hop``, then the members in shrink order. Also
+    returns the 1-based position of the member that hit, if one did."""
+    best_layout, best_total = None, math.inf
+    restarts = hops = 0
+    while restarts < max_restarts:
+        restarts += 1
+        outcome = bfgs_minimize(random_layout(n, radius, rng), rng=rng)
+        if outcome.energy.total < best_total:
+            best_layout, best_total = outcome.layout, outcome.energy.total
+        if outcome.status is OptimizeStatus.FEASIBLE:
+            return SolveStatus.FEASIBLE, outcome.layout, restarts, hops, None
+        batch = basin_hop(outcome.layout, rng=rng)
+        hops += 1
+        for position, member in enumerate(batch.layouts, start=1):
+            hopped = bfgs_minimize(member, radius=radius, rng=rng)
+            if hopped.energy.total < best_total:
+                best_layout, best_total = hopped.layout, hopped.energy.total
+            if hopped.status is OptimizeStatus.FEASIBLE:
+                return SolveStatus.FEASIBLE, hopped.layout, restarts, hops, position
+    return SolveStatus.STUCK, best_layout, restarts, hops, None
+
+
+@pytest.mark.parametrize(
+    "n, radius, seed, max_restarts, status, hit_member",
+    [
+        (12, None, 0, 8, SolveStatus.FEASIBLE, 15),
+        # seven unit circles need R >= 3, so both restarts and all forty
+        # hop members fail
+        (7, 2.99, 1, 2, SolveStatus.STUCK, None),
+    ],
+    ids=["hit-at-member-15", "stuck"],
+)
+def test_global_search_matches_eager_hop_batches(
+    n, radius, seed, max_restarts, status, hit_member
+):
+    if radius is None:
+        radius = load_best_known().radius_for(n)
+    want_status, want_layout, want_restarts, want_hops, want_member = eager_global_search(
+        n, radius, Rng(seed), max_restarts
+    )
+    assert (want_status, want_member) == (status, hit_member)
+    got = global_search(n, radius, 600.0, Rng(seed), max_restarts=max_restarts)
+    assert got.status is want_status
+    assert (got.restarts, got.hops, got.seed) == (want_restarts, want_hops, seed)
+    assert got.radius == radius
+    assert got.layout.radius == want_layout.radius
+    assert got.layout.centers.tobytes() == want_layout.centers.tobytes()
 
 
 @pytest.mark.parametrize(
