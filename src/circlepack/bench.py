@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .geometry import Rng, random_layout
 from .layout_io import BestKnownTable, format_decimal
 from .optimizer import bfgs_minimize
-from .search import SolveStatus, global_search
+from .search import DEFAULT_ATTEMPT_SECONDS, SolveStatus, global_search
 
 _MASK64 = (1 << 64) - 1
 
@@ -78,7 +78,7 @@ def run_hits(
     ns: Sequence[int],
     table: BestKnownTable,
     reps: int = 10,
-    time_limit: float = 60.0,
+    time_limit: float = DEFAULT_ATTEMPT_SECONDS,
     seed_base: int = 0,
     max_restarts: int | None = None,
     progress=None,

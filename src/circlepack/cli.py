@@ -76,6 +76,13 @@ def _resolve_radius(args, n: int, bundled: bool = False) -> float:
         raise UsageError(str(exc)) from None
 
 
+def _refuse_same_file(first: str | None, second: str | None) -> None:
+    """Exit 64 when both paths are given and resolve to one file, so that
+    no write replaces the input or the other output."""
+    if None not in (first, second) and Path(first).resolve() == Path(second).resolve():
+        raise UsageError(f"{first} and {second} are the same file")
+
+
 def _report_lines(report) -> list[str]:
     return [
         f"status={report.status.value}",
@@ -100,6 +107,7 @@ def _write_outputs(report, args) -> None:
 
 def cmd_solve(args) -> int:
     radius = _resolve_radius(args, args.n)
+    _refuse_same_file(args.out, args.svg)
     report = global_search(
         args.n,
         radius,
@@ -115,6 +123,7 @@ def cmd_solve(args) -> int:
 
 def cmd_improve(args) -> int:
     start_radius = _resolve_radius(args, args.n)
+    _refuse_same_file(args.out, args.svg)
     report = minimize_radius(
         args.n,
         start_radius,
@@ -145,12 +154,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    doc = read_layout(args.path)
-    layout = doc.layout()
-    text = render_svg(layout, show_indices=args.indices, tolerance=args.tolerance)
     out = args.svg
     if out is None:
         out = str(Path(args.path).with_suffix(".svg"))
+    _refuse_same_file(args.path, out)
+    doc = read_layout(args.path)
+    layout = doc.layout()
+    text = render_svg(layout, show_indices=args.indices, tolerance=args.tolerance)
     Path(out).write_text(text, encoding="utf-8", newline="\n")
     print(f"svg written to {out}")
     return EXIT_OK

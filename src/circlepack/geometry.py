@@ -71,9 +71,6 @@ class Layout:
         """Writable copy of the centers flattened to (x1, y1, ..., xn, yn)."""
         return self.centers.reshape(-1).copy()
 
-    def with_radius(self, radius: float) -> "Layout":
-        return Layout(self.centers, radius)
-
 
 @dataclass(frozen=True)
 class Energy:

@@ -48,14 +48,12 @@ class HopBatch:
     """Twenty perturbed layouts derived from one stuck source layout.
 
     The eager form of a hop: every member is settled, in shrink order.
-    Each member keeps the source coordinates as its optimization start and
-    carries the shrunken radius it settled at; callers restore the search
-    radius when they reoptimize the members.
+    Member m settled at, and carries, the radius ``shrink_factors()[m]``
+    times the source's; callers restore the search radius when they
+    reoptimize the members.
     """
 
     layouts: tuple[Layout, ...]
-    betas: tuple[float, ...]
-    source_radius: float
 
 
 @dataclass(frozen=True)
@@ -63,34 +61,37 @@ class SolveReport:
     """Outcome of a search run.
 
     ``status`` FEASIBLE guarantees ``layout`` passes the feasibility test at
-    ``radius``. ``restarts`` counts random initializations, ``hops`` counts
-    hop batches started, both summed over the whole run. ``seed`` echoes
-    the random source for reproduction.
+    ``radius``, the layout's own. ``restarts`` counts random
+    initializations, ``hops`` counts hop batches started, both summed over
+    the whole run. ``seed`` echoes the random source for reproduction.
     """
 
     status: SolveStatus
     layout: Layout
-    radius: float
     elapsed: float
     restarts: int
     hops: int
     seed: int
 
+    @property
+    def radius(self) -> float:
+        return self.layout.radius
 
-def _hop_members(layout: Layout, radius: float, rng: Rng) -> Iterator[Layout]:
+
+def _hop_members(layout: Layout, rng: Rng) -> Iterator[Layout]:
     """Yield the hop members of ``layout`` in shrink order, each settled on demand.
 
     Only when asked for, a member draws its settle length h from
     HOP_ITERATION_RANGE (inclusive) and runs at most h local steps at beta *
-    ``radius``.
+    ``layout.radius``.
     """
     lo, hi = HOP_ITERATION_RANGE
     for beta in shrink_factors():
         h = int(rng.integers(lo, hi + 1))
-        yield run_bounded(layout, beta * radius, h, rng=rng)
+        yield run_bounded(layout, beta * layout.radius, h, rng=rng)
 
 
-def basin_hop(layout: Layout, radius: float | None = None, rng: Rng | None = None) -> HopBatch:
+def basin_hop(layout: Layout, *, rng: Rng) -> HopBatch:
     """Perturb a stuck layout by briefly optimizing in shrunken containers.
 
     For each shrink factor the container radius is scaled down, the source
@@ -101,11 +102,7 @@ def basin_hop(layout: Layout, radius: float | None = None, rng: Rng | None = Non
     current basin. This is the eager form: all twenty members are settled
     before it returns.
     """
-    if rng is None:
-        rng = Rng(0)
-    source_radius = layout.radius if radius is None else float(radius)
-    members = tuple(_hop_members(layout, source_radius, rng))
-    return HopBatch(layouts=members, betas=shrink_factors(), source_radius=source_radius)
+    return HopBatch(layouts=tuple(_hop_members(layout, rng)))
 
 
 def global_search(
@@ -148,22 +145,18 @@ def global_search(
         return SolveReport(
             status=status_,
             layout=layout_,
-            radius=float(radius),
             elapsed=time.monotonic() - start,
             restarts=restarts,
             hops=hops,
             seed=rng.seed,
         )
 
-    def optimize(lay, at_radius=None):
-        return bfgs_minimize(lay, radius=at_radius, rng=rng)
-
     while time.monotonic() < deadline:
         if max_restarts is not None and restarts >= max_restarts:
             status = SolveStatus.STUCK
             break
         restarts += 1
-        outcome = optimize(random_layout(n, radius, rng))
+        outcome = bfgs_minimize(random_layout(n, radius, rng), radius=None, rng=rng)
         if outcome.energy.total < best_total:
             best_layout, best_total = outcome.layout, outcome.energy.total
         if outcome.status is OptimizeStatus.FEASIBLE:
@@ -171,12 +164,12 @@ def global_search(
         if time.monotonic() >= deadline:
             break
         hops += 1
-        members = _hop_members(outcome.layout, radius, rng)
+        members = _hop_members(outcome.layout, rng)
         while time.monotonic() < deadline:
             member = next(members, None)
             if member is None:
                 break
-            hopped = optimize(member, at_radius=radius)
+            hopped = bfgs_minimize(member, radius=radius, rng=rng)
             if hopped.energy.total < best_total:
                 best_layout, best_total = hopped.layout, hopped.energy.total
             if hopped.status is OptimizeStatus.FEASIBLE:
@@ -190,20 +183,22 @@ def global_search(
 class AdjustResult:
     """Outcome of a container adjustment.
 
-    ``layout`` is feasible at ``radius``; ``bracket_width`` is the final gap
-    between the returned radius and the largest radius proven infeasible by
-    reoptimization (0.0 when probing bottomed out at the unit-circle floor).
+    ``layout`` is feasible at ``radius``, the layout's own;
+    ``bracket_width`` is the final gap between that radius and the largest
+    radius proven infeasible by reoptimization (0.0 when probing bottomed
+    out at the unit-circle floor).
     """
 
     layout: Layout
-    radius: float
     bracket_width: float
     probes: int
 
+    @property
+    def radius(self) -> float:
+        return self.layout.radius
 
-def container_adjust(
-    layout: Layout, radius: float | None = None, rng: Rng | None = None
-) -> AdjustResult:
+
+def container_adjust(layout: Layout, *, rng: Rng | None = None) -> AdjustResult:
     """Shrink a feasible layout's container to the smallest feasible radius.
 
     Probes radii below the current upper bound with geometrically growing
@@ -213,20 +208,12 @@ def container_adjust(
     input radius and never goes below 1 (a single unit circle needs that
     much container). Probes descend in local mode with the default margins.
     """
-    r_input = layout.radius if radius is None else float(radius)
-    source = layout.with_radius(r_input)
-    if not is_feasible(source):
+    if not is_feasible(layout):
         raise ValueError("container_adjust requires a feasible starting layout")
 
     probes = 0
-
-    def reoptimize(at_radius):
-        nonlocal probes
-        probes += 1
-        return bfgs_minimize(source, radius=at_radius, rng=rng)
-
-    r_upper = r_input
-    best = source
+    r_upper = layout.radius
+    best = layout
     r_lower = None
     while r_lower is None or r_upper - r_lower > RADIUS_RESOLUTION:
         if r_lower is None:
@@ -234,19 +221,18 @@ def container_adjust(
             probe = max(r_upper - 1e-10 * 10.0**probes, 1.0)
             if probe >= r_upper:
                 # bottomed out at the unit-circle floor with no infeasible probe
-                return AdjustResult(layout=best, radius=r_upper, bracket_width=0.0, probes=probes)
+                return AdjustResult(layout=best, bracket_width=0.0, probes=probes)
         else:
             probe = 0.5 * (r_upper + r_lower)
             if not (r_lower < probe < r_upper):
                 break
-        outcome = reoptimize(probe)
+        probes += 1
+        outcome = bfgs_minimize(layout, radius=probe, rng=rng)
         if outcome.status is OptimizeStatus.FEASIBLE:
             r_upper, best = probe, outcome.layout
         else:
             r_lower = probe
-    return AdjustResult(
-        layout=best, radius=r_upper, bracket_width=r_upper - r_lower, probes=probes
-    )
+    return AdjustResult(layout=best, bracket_width=r_upper - r_lower, probes=probes)
 
 
 def minimize_radius(
@@ -254,7 +240,8 @@ def minimize_radius(
     start_radius: float,
     t0: float = DEFAULT_ATTEMPT_SECONDS,
     t1: float = DEFAULT_TOTAL_SECONDS,
-    rng: Rng | None = None,
+    *,
+    rng: Rng,
     max_restarts: int | None = None,
 ) -> SolveReport:
     """Drive the search toward the smallest radius reachable before ``t1``.
@@ -274,8 +261,6 @@ def minimize_radius(
         raise ValueError(f"start radius must be finite and >= 1, got {start_radius}")
     if not (t0 > 0.0 and t1 > 0.0):
         raise ValueError(f"time limits must be positive, got t0={t0}, t1={t1}")
-    if rng is None:
-        rng = Rng(0)
 
     start = time.monotonic()
     deadline = start + float(t1)
@@ -285,11 +270,10 @@ def minimize_radius(
     restarts = 0
     hops = 0
 
-    def report(status_, layout_, radius_):
+    def report(status_, layout_):
         return SolveReport(
             status=status_,
             layout=layout_,
-            radius=radius_,
             elapsed=time.monotonic() - start,
             restarts=restarts,
             hops=hops,
@@ -315,7 +299,7 @@ def minimize_radius(
     # an adjustment never grows it, so the last adjustment is the best find;
     # without one every attempt failed and the last says how and with what
     if adjusted is not None:
-        return report(SolveStatus.FEASIBLE, adjusted.layout, adjusted.radius)
+        return report(SolveStatus.FEASIBLE, adjusted.layout)
     if attempt is None:
-        return report(SolveStatus.TIMEOUT, random_layout(n, r_current, rng), r_current)
-    return report(attempt.status, attempt.layout, r_current)
+        return report(SolveStatus.TIMEOUT, random_layout(n, r_current, rng))
+    return report(attempt.status, attempt.layout)

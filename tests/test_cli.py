@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,24 @@ def test_solve_descents_take_no_solver_settings(monkeypatch, capsys):
             assert flag[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "improve"])
+def test_out_and_svg_naming_one_file_is_a_usage_error(command, monkeypatch, tmp_path, capsys):
+    # the svg used to be written over the layout just written, with exit 0;
+    # the paths are compared before the search starts, so no run is lost
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cp.cli, "global_search", no_search)
+    monkeypatch.setattr(cp.cli, "minimize_radius", no_search)
+    # one path absolute, the other relative: they are compared resolved
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "two.txt"
+    code = main([command, "--n", "2", "--radius", "2", "--out", str(out), "--svg", "two.txt"])
+    assert code == EXIT_USAGE
+    assert "same file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_missing_table_entry(table_csv):
     assert main(["solve", "--n", "99", "--best-known", table_csv]) == EXIT_USAGE
 
@@ -182,6 +202,19 @@ def test_render_command(tmp_path, capsys):
     assert "<text" in rendered
 
 
+@pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+def test_render_refuses_to_overwrite_its_input(explicit, tmp_path, capsys):
+    # a layout named lay.svg used to be replaced by its own picture, exit 0
+    lay = tmp_path / "lay.svg"
+    cp.write_layout(cp.Layout(np.array([[-1.0, 0.0], [1.0, 0.0]]), 2.0), None, lay)
+    before = lay.read_bytes()
+    flags = ["--svg", str(lay)] if explicit else []
+    assert main(["render", str(lay), *flags]) == EXIT_USAGE
+    assert "same file" in capsys.readouterr().err
+    assert lay.read_bytes() == before
+    assert main(["verify", str(lay)]) == EXIT_OK
+
+
 def test_bench_hits_csv_schema(table_csv, tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = main([
@@ -246,6 +279,8 @@ def test_bench_t0_and_max_restarts_apply_to_hits_only(monkeypatch, capsys):
     assert main(["bench", "--n", "3"]) == EXIT_OK
     assert main(["bench", "--n", "3", "--t0", "7", "--max-restarts", "2"]) == EXIT_OK
     assert limits == [(DEFAULT_ATTEMPT_SECONDS, None), (7.0, 2)]
+    # and so does the library; run_hits used to default to 60 s
+    assert inspect.signature(run_hits).parameters["time_limit"].default == DEFAULT_ATTEMPT_SECONDS
 
 
 def test_derive_seed_is_stable_and_spread():

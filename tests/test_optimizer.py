@@ -701,6 +701,6 @@ def test_run_bounded_respects_iteration_cap():
     result = run_bounded(layout, 3.0, 7)
     assert result.radius == 3.0
     # a brief bounded run must still make progress on the shrunken container
-    before = total_energy(layout.with_radius(3.0)).total
+    before = total_energy(Layout(layout.centers, 3.0)).total
     after = total_energy(result).total
     assert after <= before

@@ -33,8 +33,7 @@ def test_basin_hop_batch_shape():
     source = random_layout(10, 4.0, Rng(3))
     batch = basin_hop(source, rng=Rng(5))
     assert len(batch.layouts) == 20
-    assert batch.betas == shrink_factors()
-    assert batch.source_radius == 4.0
+    assert [m.radius for m in batch.layouts] == [beta * 4.0 for beta in shrink_factors()]
     for member in batch.layouts:
         # members are optimized inside the shrunken container but keep
         # that shrunken radius so callers can rescale as they wish
@@ -59,6 +58,23 @@ def test_basin_hop_settles_through_run_bounded(monkeypatch):
     monkeypatch.setattr(search, "bfgs_minimize", forbidden)
     batch = basin_hop(random_layout(8, 2.6, Rng(5)), rng=Rng(41))
     assert len(batch.layouts) == 20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda layout: basin_hop(layout, Rng(1)),
+        lambda layout: container_adjust(layout, 3.0),
+        lambda layout: minimize_radius(2, 3.0, 1.0, 1.0, Rng(0)),
+    ],
+    ids=["basin_hop", "container_adjust", "minimize_radius"],
+)
+def test_search_entry_points_take_rng_by_keyword(call):
+    # the radius comes from the layout and the rng only by keyword, so an
+    # old positional call fails instead of passing a radius as the rng
+    layout = Layout(np.array([[0.0, 0.0]]), 3.5)
+    with pytest.raises(TypeError):
+        call(layout)
 
 
 def test_basin_hop_hop_lengths_in_range():
