@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,6 +196,115 @@ def candidate_pairs(centers: np.ndarray, reach: float) -> tuple[np.ndarray, np.n
     return pair_keys >> 32, pair_keys & 0xFFFFFFFF
 
 
+class Depths(NamedTuple):
+    """The depth stage of one point over listed terms (``listed_depths``).
+
+    Per listed pair: the centre difference i - j (shape (P, 2)), its
+    length, the overlap depth and whether that depth is positive; per
+    listed wall circle: the centre (shape (W, 2)), its distance from the
+    origin, the wall depth and whether it is positive. ``pair`` and
+    ``wall`` are the positive depths alone, in listing order, and
+    ``total`` is the energy they make.
+    """
+
+    delta: np.ndarray
+    dist: np.ndarray
+    pair_depth: np.ndarray
+    pair_active: np.ndarray
+    pair: np.ndarray
+    walls: np.ndarray
+    rad: np.ndarray
+    wall_depth: np.ndarray
+    wall_active: np.ndarray
+    wall: np.ndarray
+    total: float
+
+
+def listed_depths(
+    centers: np.ndarray,
+    radius: float,
+    pair_i: np.ndarray,
+    pair_j: np.ndarray,
+    container_ids: np.ndarray,
+) -> Depths:
+    """Depths of the given pairs and wall terms of ``centers``, shape (n, 2).
+
+    Every listed pair contributes twice its squared depth to ``total``
+    (each member of the pair stores the same deformation); each listed
+    wall term contributes its squared depth once. An empty list
+    contributes +0.0.
+    """
+    # take gathers along the circle axis faster than fancy indexing
+    delta = centers.take(pair_i, axis=0) - centers.take(pair_j, axis=0)
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    pair_depth = np.maximum(2.0 - dist, 0.0)
+    # summing only the active depths keeps the accumulation order
+    # independent of how many zero-depth terms the listing carries
+    pair_active = pair_depth > 0.0
+    pair = pair_depth[pair_active]
+    walls = centers.take(container_ids, axis=0)
+    rad = np.hypot(walls[:, 0], walls[:, 1])
+    wall_depth = np.maximum(rad + 1.0 - radius, 0.0)
+    wall_active = wall_depth > 0.0
+    wall = wall_depth[wall_active]
+    total = 2.0 * float(pair.dot(pair)) + float(wall.dot(wall))
+    return Depths(
+        delta, dist, pair_depth, pair_active, pair,
+        walls, rad, wall_depth, wall_active, wall, total,
+    )
+
+
+def scatter_gradient(
+    depths: Depths,
+    pair_i: np.ndarray,
+    pair_j: np.ndarray,
+    container_ids: np.ndarray,
+    n: int,
+) -> np.ndarray | None:
+    """Analytic gradient of ``depths.total`` over n circles, shape (n, 2),
+    where ``depths`` is what ``listed_depths`` gave for these terms; None
+    when two centres of an overlapping listed pair coincide, since the push
+    direction between them is undefined.
+
+    Each axis of the gradient is one ``np.bincount`` per pair side, their
+    difference, and then one ``np.bincount`` of the wall terms added to
+    it. Every bin receives its terms in listing order.
+    """
+    grad = np.zeros((n, 2))
+    # the size guards skip several numpy calls on an empty active list,
+    # which is the common case for the wall terms (and bincount of no
+    # terms comes back as integers)
+    if depths.pair.size:
+        active = depths.pair_active.nonzero()[0]
+        dist = depths.dist.take(active)
+        # a coincident pair has depth 2, so the total is at least 8
+        if depths.total >= 8.0 and not dist.all():
+            return None
+        ii = pair_i.take(active)
+        jj = pair_j.take(active)
+        delta = depths.delta.take(active, axis=0)
+        # each pair appears twice in the energy, hence the factor 4
+        push = 4.0 * depths.pair / dist
+        for axis in (0, 1):
+            terms = push * delta[:, axis]
+            grad[:, axis] = np.bincount(jj, terms, minlength=n) - np.bincount(
+                ii, terms, minlength=n
+            )
+    if depths.wall.size:
+        active = depths.wall_active.nonzero()[0]
+        ids = container_ids.take(active)
+        walls = depths.walls.take(active, axis=0)
+        # rad > 0 whenever the wall term is active, since radius > 0
+        push = 2.0 * depths.wall / depths.rad.take(active)
+        # a wall circle is listed once, so its bin holds 0.0 + its term; no
+        # entry of grad is -0.0 (bins start at +0.0 and x - x is +0.0), so
+        # adding that bin, or the +0.0 of a bin no wall term reaches, gives
+        # the bits of adding the term alone
+        for axis in (0, 1):
+            grad[:, axis] += np.bincount(ids, push * walls[:, axis], minlength=n)
+    return grad
+
+
 def evaluate_pairs(
     centers: np.ndarray,
     radius: float,
@@ -205,56 +315,23 @@ def evaluate_pairs(
 ):
     """Energy restricted to the given circle pairs and container candidates.
 
-    Every listed pair contributes twice its squared depth (each member of the
-    pair stores the same deformation); each listed container term contributes
-    its squared depth once. Returns the ``Energy`` over the listed terms
-    only; an empty list contributes +0.0 to the total and to its maximum.
-    With ``with_gradient`` it returns ``(energy, grad)``, where ``grad`` is
-    the analytic gradient of that total, shape (n, 2), or None when two
-    centers of an overlapping listed pair coincide, since the push direction
-    between them is undefined.
+    Returns the ``Energy`` over the listed terms only (``listed_depths``
+    gives their total); an empty list contributes +0.0 to the total and to
+    its maximum. With ``with_gradient`` it returns ``(energy, grad)``,
+    where ``grad`` is the analytic gradient of that total, shape (n, 2), or
+    None when two centers of an overlapping listed pair coincide (see
+    ``scatter_gradient``).
     """
-    # take gathers along the circle axis faster than fancy indexing
-    delta = centers.take(pair_i, axis=0) - centers.take(pair_j, axis=0)
-    dist = np.hypot(delta[:, 0], delta[:, 1])
-    pdepth = np.maximum(2.0 - dist, 0.0)
-    # summing only the active depths keeps the accumulation order
-    # independent of how many zero-depth terms the listing carries
-    pair_active = pdepth > 0.0
-    d = pdepth[pair_active]
-    pts = centers.take(container_ids, axis=0)
-    rad = np.hypot(pts[:, 0], pts[:, 1])
-    cdepth = np.maximum(rad + 1.0 - radius, 0.0)
-    wall_active = cdepth > 0.0
-    c = cdepth[wall_active]
+    depths = listed_depths(centers, radius, pair_i, pair_j, container_ids)
     # depths are >= 0, so initial=0.0 changes no maximum of a non-empty list
     energy = Energy(
-        total=2.0 * float(d.dot(d)) + float(c.dot(c)),
-        max_pair_depth=float(pdepth.max(initial=0.0)),
-        max_container_depth=float(cdepth.max(initial=0.0)),
+        total=depths.total,
+        max_pair_depth=float(depths.pair_depth.max(initial=0.0)),
+        max_container_depth=float(depths.wall_depth.max(initial=0.0)),
     )
     if not with_gradient:
         return energy
-    if energy.max_pair_depth >= 2.0 and np.any(dist[pair_active] == 0.0):
-        return energy, None
-    n = centers.shape[0]
-    grad = np.zeros((n, 2))
-    # the size guards skip several numpy calls on an empty active list,
-    # which is the common case for the wall terms
-    if d.size:
-        ii = pair_i[pair_active]
-        jj = pair_j[pair_active]
-        # each pair appears twice in the energy, hence the factor 4
-        push = (4.0 * d / dist[pair_active])[:, None] * delta[pair_active]
-        for axis in (0, 1):
-            grad[:, axis] = np.bincount(jj, push[:, axis], minlength=n) - np.bincount(
-                ii, push[:, axis], minlength=n
-            )
-    if c.size:
-        ids = container_ids[wall_active]
-        # rad > 0 whenever the wall term is active, since radius > 0
-        grad[ids] += (2.0 * c / rad[wall_active])[:, None] * pts[wall_active]
-    return energy, grad
+    return energy, scatter_gradient(depths, pair_i, pair_j, container_ids, centers.shape[0])
 
 
 def total_energy(layout: Layout) -> Energy:

@@ -12,7 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Energy, Layout, Rng, all_pair_indices, candidate_pairs, evaluate_pairs
+from .geometry import (
+    Depths,
+    Energy,
+    Layout,
+    Rng,
+    all_pair_indices,
+    candidate_pairs,
+    evaluate_pairs,
+    listed_depths,
+)
 
 # Boundary-to-boundary distances at or below these count as adjacent.
 DEFAULT_CONTAINER_MARGIN = 1.0
@@ -74,30 +83,44 @@ def full_index(n: int) -> NeighborIndex:
 def index_energy(
     x: np.ndarray,
     d: np.ndarray,
-    steps: np.ndarray,
-    limits: np.ndarray,
+    steps: np.ndarray | float,
+    limits: np.ndarray | float,
     radius: float,
     index: NeighborIndex,
-) -> tuple[int, float]:
+) -> tuple[int, float, Depths | None]:
     """Energy over the index's listed terms at ``x + step*d``, step by step.
 
     ``x`` and ``d`` are flat 2n vectors (x1, y1, ..., xn, yn); ``steps``
-    and ``limits`` are equally long and not empty. Row k is the point
-    ``x + steps[k]*d``. The rows are walked in order up to the first one
-    whose energy is at most ``limits[k]``; returns ``(k, energy of row k)``,
-    or ``(len(steps), energy of the last row)`` when no row qualifies.
+    and ``limits`` are equally long, non-empty arrays, or two floats for a
+    one-step call. Row k is the point ``x + steps[k]*d``. The rows are
+    walked in order up to the first one whose energy is at most
+    ``limits[k]``; returns ``(k, energy of row k, depths of row k)``, or
+    ``(len(steps), energy of the last row, None)`` when no row qualifies,
+    where len(steps) is 1 for a one-step call. The depths are those
+    ``geometry.listed_depths`` gives at the accepted point, so
+    ``geometry.scatter_gradient`` takes the gradient there without
+    gathering again.
 
     Every row's energy has the bits ``geometry.evaluate_pairs`` gives at
-    that one point. Trial points, gathers, ``hypot`` and ``maximum`` are
-    elementwise, so they are computed for a block of rows in one pass. The
-    sums are not: BLAS sums a vector in an order set by its length, so each
+    that one point. A one-step call runs ``listed_depths`` on that point.
+    Otherwise trial points, gathers, ``hypot`` and ``maximum``, all
+    elementwise, are computed for a block of rows in one pass, and the
+    accepted row's depths are row slices of the block. The sums are not
+    elementwise: BLAS sums a vector in an order set by its length, so each
     row's active depths are compacted and go through the same dot product
-    that ``evaluate_pairs`` takes; summing a row with its zero depths left
+    that ``listed_depths`` takes; summing a row with its zero depths left
     in would change the last bits. A block holds at most _TRIAL_ELEMENTS
     row-by-term depths, so a wide index (about 1,500 terms at n = 400) is
     evaluated a few rows at a time and memory stays flat.
     """
     n = x.size // 2
+    if isinstance(steps, float):
+        depths = listed_depths(
+            (x + steps * d).reshape(n, 2), radius, index.pair_i, index.pair_j, index.container_ids
+        )
+        if depths.total <= limits:
+            return 0, depths.total, depths
+        return 1, depths.total, None
     terms = index.pair_i.size + index.container_ids.size
     block = max(1, _TRIAL_ELEMENTS // max(terms, 1))
     for start in range(0, steps.size, block):
@@ -105,9 +128,11 @@ def index_energy(
         centers = (x + lam[:, None] * d).reshape(lam.size, n, 2)
         # take gathers along the circle axis faster than fancy indexing
         delta = centers.take(index.pair_i, axis=1) - centers.take(index.pair_j, axis=1)
-        pair_depth = np.maximum(2.0 - np.hypot(delta[..., 0], delta[..., 1]), 0.0)
+        dist = np.hypot(delta[..., 0], delta[..., 1])
+        pair_depth = np.maximum(2.0 - dist, 0.0)
         walls = centers.take(index.container_ids, axis=1)
-        wall_depth = np.maximum(np.hypot(walls[..., 0], walls[..., 1]) + 1.0 - radius, 0.0)
+        rad = np.hypot(walls[..., 0], walls[..., 1])
+        wall_depth = np.maximum(rad + 1.0 - radius, 0.0)
         pair_active = pair_depth > 0.0
         wall_active = wall_depth > 0.0
         for k in range(lam.size):
@@ -115,8 +140,12 @@ def index_energy(
             c = wall_depth[k][wall_active[k]]
             value = 2.0 * float(p.dot(p)) + float(c.dot(c))
             if value <= limits[start + k]:
-                return start + k, value
-    return steps.size, value
+                depths = Depths(
+                    delta[k], dist[k], pair_depth[k], pair_active[k], p,
+                    walls[k], rad[k], wall_depth[k], wall_active[k], c, value,
+                )
+                return start + k, value, depths
+    return steps.size, value, None
 
 
 def gradient_eval(

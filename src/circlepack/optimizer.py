@@ -13,7 +13,9 @@ pair; local mode restricts both to neighbor lists rebuilt every
 the listed terms instead of quadratic in n. At the sizes the searches run,
 n of a few tens, a step costs numpy calls more than arithmetic, which is
 why the line search hands its trial steps to the energy kernel in chunks
-(see ``line_search``).
+(see ``line_search``), and why the trial that accepts a step hands back its
+overlap depths: the gradient at the new iterate is scattered from them
+instead of gathered and measured again (see ``bfgs_minimize``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import FEASIBLE_ENERGY, Energy, Layout, Rng, total_energy
+from .geometry import (
+    FEASIBLE_ENERGY,
+    Depths,
+    Energy,
+    Layout,
+    Rng,
+    scatter_gradient,
+    total_energy,
+)
 from .neighbors import (
     DEFAULT_CONTAINER_MARGIN,
     DEFAULT_PAIR_MARGIN,
@@ -50,6 +60,9 @@ CURVATURE_FLOOR = 1e-12
 # kernel: 1, 2, 4, 8, 16 and the remaining 20 steps
 _STEPS = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))
 _STEPS.setflags(write=False)
+# the sufficient-decrease factors ARMIJO_SLOPE * lam of those steps
+_ARMIJO_STEPS = ARMIJO_SLOPE * _STEPS
+_ARMIJO_STEPS.setflags(write=False)
 _CHUNK_STARTS = (0, 1, 3, 7, 15, 31, MAX_HALVINGS + 1)
 
 # the inverse-Hessian update works on blocks of rows of about this many
@@ -129,8 +142,10 @@ class OptimizeOutcome:
 
     ``energy`` is always the exact all-pairs energy of ``layout``;
     ``status`` is FEASIBLE only when that exact total is below the
-    feasibility threshold. ``evaluations`` counts energy and gradient
-    evaluations against the active index (line-search trials included).
+    feasibility threshold. ``evaluations`` counts evaluations against the
+    active index: each trial point of the one-step-at-a-time line search,
+    and one per gradient, whether scattered from the accepted trial's
+    depths or evaluated afresh.
     """
 
     layout: Layout
@@ -141,46 +156,55 @@ class OptimizeOutcome:
 
 
 def line_search(
-    eval_fn: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple[int, float]],
+    eval_fn: Callable[..., tuple[int, float, Depths | None]],
     x: np.ndarray,
     d: np.ndarray,
     u0: float,
     slope: float,
-) -> tuple[float, float]:
-    """Backtracking step length along ``d`` from ``x`` and the value there.
+) -> tuple[float, float, Depths | None]:
+    """Backtracking step length along ``d`` from ``x``, the value there and
+    the depths the trial kernel handed back for that point.
 
     ``slope`` is the directional derivative g0 . d at ``x``. The step
     lengths 1, 1/2, ..., 2**-50 are tried in order and the first that meets
     the sufficient-decrease condition U(x + lam*d) <= u0 + 1e-4 * lam *
-    slope is accepted, then polished (see ``_refine``). Returns (0.0, u0)
-    when all 51 fail or when ``d`` is not a descent direction; callers are
-    expected to restart from steepest descent.
+    slope is accepted, then polished (see ``_refine``). Returns (0.0, u0,
+    None) when all 51 fail or when ``d`` is not a descent direction;
+    callers are expected to restart from steepest descent.
 
     ``eval_fn(x, d, steps, limits)`` is a trial kernel with the contract of
-    ``neighbors.index_energy``: it walks the steps in order and stops at the
-    first whose value is at most its limit. The steps go to it in chunks of
-    1, 2, 4, 8, 16 and the last 20 (``_CHUNK_STARTS``), each chunk as many
-    steps as all before it: a search computes fewer than twice the trial
-    points the one-step-at-a-time search would, and one that runs all 51
-    makes six kernel calls. The accepted step and its value are those of
-    the one-step-at-a-time search, bit for bit.
+    ``neighbors.index_energy``: it walks the steps in order, stops at the
+    first whose value is at most its limit, and returns ``(k, value,
+    depths)``, where ``depths`` may be None (the caller then evaluates the
+    accepted point afresh). The unit step goes to it as a one-step call of
+    two floats, the others in chunks of 2, 4, 8, 16 and the last 20
+    (``_CHUNK_STARTS``), each chunk as many steps as all before it: a
+    search computes fewer than twice the trial points the
+    one-step-at-a-time search would, and one that runs all 51 makes six
+    kernel calls. The accepted step and its value are those of the
+    one-step-at-a-time search, bit for bit.
     """
     if slope >= 0.0:
-        return 0.0, u0
-    limits = u0 + ARMIJO_SLOPE * _STEPS * slope
-    for start, stop in zip(_CHUNK_STARTS, _CHUNK_STARTS[1:]):
-        k, value = eval_fn(x, d, _STEPS[start:stop], limits[start:stop])
+        return 0.0, u0, None
+    # the unit step's limit, with the bits of u0 + _ARMIJO_STEPS[0] * slope
+    k, value, depths = eval_fn(x, d, 1.0, u0 + ARMIJO_SLOPE * slope)
+    if k == 0:
+        return _refine(eval_fn, x, d, u0, slope, 1.0, value, depths)
+    limits = u0 + _ARMIJO_STEPS * slope
+    for start, stop in zip(_CHUNK_STARTS[1:], _CHUNK_STARTS[2:]):
+        k, value, depths = eval_fn(x, d, _STEPS[start:stop], limits[start:stop])
         if k < stop - start:
-            return _refine(eval_fn, x, d, u0, slope, float(_STEPS[start + k]), value)
-    return 0.0, u0
+            return _refine(eval_fn, x, d, u0, slope, float(_STEPS[start + k]), value, depths)
+    return 0.0, u0, None
 
 
-def _refine(eval_fn, x, d, u0, slope, lam, value):
+def _refine(eval_fn, x, d, u0, slope, lam, value, depths):
     """Quadratic-interpolation polish of an accepted step length.
 
     The energy restricted to a line is piecewise quadratic, so the fitted
     minimizer is frequently exact; a candidate is adopted only when it
-    strictly lowers the value, which preserves the Armijo guarantee. Each
+    strictly lowers the value, which preserves the Armijo guarantee, and
+    the depths of the point adopted last are returned with it. Each
     candidate is one trial: a one-step kernel call whose infinite limit
     accepts any value.
     """
@@ -191,11 +215,11 @@ def _refine(eval_fn, x, d, u0, slope, lam, value):
         star = -slope * lam * lam / (2.0 * denom)
         if not (0.0 < star <= REFINE_CAP * lam) or star == lam:
             break
-        _, candidate = eval_fn(x, d, np.array([star]), np.array([math.inf]))
+        _, candidate, trial = eval_fn(x, d, star, math.inf)
         if candidate >= value:
             break
-        lam, value = star, candidate
-    return lam, value
+        lam, value, depths = star, candidate, trial
+    return lam, value, depths
 
 
 def update_inverse_hessian(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -334,6 +358,12 @@ def bfgs_minimize(
     margins infinite the index provably covers every term, so the local run
     follows the full-mode trajectory bit for bit.
 
+    Each accepted step takes its energy and gradient from the depths of the
+    line-search trial that accepted it, with the bits a fresh evaluation
+    would give. ``gradient_eval`` runs only at the start, after a rebuild,
+    where the trial kernel hands back no depths, and where two listed
+    centres of the accepted point coincide (it nudges them).
+
     Up to ``DENSE_MAX_CIRCLES`` circles the search direction comes from a
     dense inverse Hessian, above it from limited-memory BFGS; a
     steepest-descent restart resets either to the identity.
@@ -371,11 +401,11 @@ def bfgs_minimize(
 
     def trial_energy(origin, d, steps, limits):
         nonlocal evaluations
-        k, value = index_energy(origin, d, steps, limits, r, index)
+        k, value, depths = index_energy(origin, d, steps, limits, r, index)
         # steps past the accepted one were evaluated speculatively; the
         # count is that of the one-step-at-a-time search
-        evaluations += min(k + 1, len(steps))
-        return k, value
+        evaluations += 1 if isinstance(steps, float) else min(k + 1, steps.size)
+        return k, value, depths
 
     x = np.array(layout.centers, dtype=float).reshape(-1)
     if mode == "full":
@@ -426,13 +456,14 @@ def bfgs_minimize(
             else:
                 direction = -lbfgs_direction(g, memory)
             slope = float(np.dot(g, direction))
-            lam, accepted = line_search(trial_energy, x, direction, total, slope)
+            lam, accepted, depths = line_search(trial_energy, x, direction, total, slope)
             if lam > 0.0:
                 break
         if lam == 0.0:
             status = OptimizeStatus.ITERATION_LIMIT
             break
 
+        # the bits of the accepted trial point
         x_new = x + lam * direction
         step_age = age
         state.iteration += 1
@@ -440,9 +471,23 @@ def bfgs_minimize(
             age += 1
             if age >= REFRESH_PERIOD:
                 rebuild(x_new)
+                depths = None
 
         energy_before = total
-        total, x_new, g_new = evaluate(x_new)
+        # the accepted trial's depths give its gradient on the index they
+        # were taken on; a rebuilt index, a kernel that kept no depths and
+        # coincident centres (which gradient_eval nudges) evaluate afresh
+        grad = None
+        if depths is not None:
+            grad = scatter_gradient(depths, index.pair_i, index.pair_j, index.container_ids, n)
+        # free the trial block behind the depths before the next step
+        # allocates its own
+        depths = None
+        if grad is None:
+            total, x_new, g_new = evaluate(x_new)
+        else:
+            evaluations += 1
+            total, g_new = accepted, grad.reshape(-1)
         if memory is None:
             state.inv_hessian = update_inverse_hessian(state.inv_hessian, x_new - x, g_new - g)
         else:

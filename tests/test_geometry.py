@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circlepack.geometry import (
     FEASIBLE_ENERGY,
@@ -12,8 +14,10 @@ from circlepack.geometry import (
     container_depth,
     evaluate_pairs,
     is_feasible,
+    listed_depths,
     pair_depth,
     random_layout,
+    scatter_gradient,
     total_energy,
 )
 
@@ -182,3 +186,84 @@ def test_evaluate_pairs_empty_term_lists_are_positive_zero(
         assert math.copysign(1.0, value) == 1.0
     assert grad.shape == (n, 2)
     assert np.all(grad == 0.0) and not np.any(np.signbit(grad))
+
+
+def reference_gradient(centers, radius, pair_i, pair_j, container_ids):
+    """Reference: the listed-term gradient as one ``np.bincount`` per axis
+    and pair side over the compacted active pairs, then the active wall
+    terms added by fancy indexing; None for a coincident overlapping pair."""
+    n = centers.shape[0]
+    delta = centers[pair_i] - centers[pair_j]
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    pair_active = np.maximum(2.0 - dist, 0.0) > 0.0
+    d = 2.0 - dist[pair_active]
+    if np.any(dist[pair_active] == 0.0):
+        return None
+    pts = centers[container_ids]
+    rad = np.hypot(pts[:, 0], pts[:, 1])
+    wall_active = np.maximum(rad + 1.0 - radius, 0.0) > 0.0
+    c = rad[wall_active] + 1.0 - radius
+    grad = np.zeros((n, 2))
+    if d.size:
+        ii = pair_i[pair_active]
+        jj = pair_j[pair_active]
+        push = (4.0 * d / dist[pair_active])[:, None] * delta[pair_active]
+        for axis in (0, 1):
+            grad[:, axis] = np.bincount(jj, push[:, axis], minlength=n) - np.bincount(
+                ii, push[:, axis], minlength=n
+            )
+    if c.size:
+        ids = container_ids[wall_active]
+        grad[ids] += (2.0 * c / rad[wall_active])[:, None] * pts[wall_active]
+    return grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**31),
+    density=st.floats(0.05, 1.5),
+    pair_share=st.sampled_from([0.0, 0.3, 1.0]),
+    wall_share=st.sampled_from([0.0, 0.5, 1.0]),
+    wall_slack=st.floats(-0.5, 3.0),
+    coincide=st.booleans(),
+)
+# empty active sets: circles far apart, deep inside the wall
+@example(n=5, seed=0, density=0.05, pair_share=1.0, wall_share=1.0, wall_slack=3.0, coincide=False)
+# wall terms alone: no pair listed
+@example(
+    n=12, seed=1, density=0.9, pair_share=0.0, wall_share=1.0, wall_slack=-0.5, coincide=False
+)
+# n = 1 lists no pair; a coincident pair gives no gradient
+@example(n=1, seed=2, density=0.5, pair_share=1.0, wall_share=1.0, wall_slack=-0.5, coincide=False)
+@example(n=6, seed=3, density=0.9, pair_share=1.0, wall_share=1.0, wall_slack=0.0, coincide=True)
+def test_scatter_gradient_matches_four_bincount_reference(
+    n, seed, density, pair_share, wall_share, wall_slack, coincide
+):
+    # the listed pairs are a subset of all pairs in lexicographic order, so
+    # a circle repeats across many of them; the wall slack moves the
+    # circles drawn near the rim across it
+    rng = np.random.default_rng(seed)
+    spread = math.sqrt(n / density)
+    r = spread * np.sqrt(rng.random(n))
+    theta = 2.0 * np.pi * rng.random(n)
+    centers = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    if coincide and n >= 2:
+        centers[1] = centers[0]
+    radius = spread + 1.0 - wall_slack
+    pair_i, pair_j = all_pair_indices(n)
+    keep = rng.random(pair_i.size) < pair_share
+    pair_i, pair_j = pair_i[keep], pair_j[keep]
+    container_ids = np.flatnonzero(rng.random(n) < wall_share)
+    want = reference_gradient(centers, radius, pair_i, pair_j, container_ids)
+    depths = listed_depths(centers, radius, pair_i, pair_j, container_ids)
+    got = scatter_gradient(depths, pair_i, pair_j, container_ids, n)
+    _, with_grad = evaluate_pairs(
+        centers, radius, pair_i, pair_j, container_ids, with_gradient=True
+    )
+    if want is None:
+        assert got is None and with_grad is None
+    else:
+        assert got.shape == (n, 2)
+        assert got.tobytes() == want.tobytes()
+        assert with_grad.tobytes() == want.tobytes()

@@ -29,7 +29,7 @@ def index_of(
 def energy_at(centers, radius, index):
     """Listed-term energy at one point: a one-step kernel call at step 0."""
     x = centers.reshape(-1)
-    _, value = index_energy(x, np.zeros_like(x), np.zeros(1), (math.inf,), radius, index)
+    _, value, _ = index_energy(x, np.zeros_like(x), np.zeros(1), (math.inf,), radius, index)
     return value
 
 

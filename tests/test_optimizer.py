@@ -13,6 +13,7 @@ from circlepack.geometry import (
     Rng,
     evaluate_pairs,
     is_feasible,
+    listed_depths,
     random_layout,
     total_energy,
 )
@@ -34,17 +35,20 @@ def quadratic(x):
 def kernel_of(fn, evaluated=None):
     """Trial kernel with the contract of ``neighbors.index_energy`` over a
     function of one point, evaluating one step at a time: walks the steps
-    in order and stops at the first value at most its limit. Appends one
-    entry to ``evaluated`` per point evaluated."""
+    in order and stops at the first value at most its limit. It hands back
+    no depths, so a descent evaluates each accepted point afresh. Appends
+    one entry to ``evaluated`` per point evaluated."""
 
     def kernel(x, d, steps, limits):
+        if isinstance(steps, float):
+            steps, limits = (steps,), (limits,)
         for k, (lam, limit) in enumerate(zip(steps, limits)):
             value = fn(x + lam * d)
             if evaluated is not None:
                 evaluated.append(lam)
             if value <= limit:
-                return k, value
-        return len(steps), value
+                return k, value, None
+        return len(steps), value, None
 
     return kernel
 
@@ -68,13 +72,14 @@ def reference_index_energy(x, d, steps, limits, radius, index):
 
 def reference_line_search(eval_fn, x, d, u0, slope):
     """Reference: the one-step-at-a-time backtracking search and its
-    quadratic polish, each trial its own one-step kernel call."""
+    quadratic polish, each trial its own one-step kernel call. It hands
+    back no depths."""
 
     def trial(lam):
         return eval_fn(x, d, np.array([lam]), (math.inf,))[1]
 
     if slope >= 0.0:
-        return 0.0, u0
+        return 0.0, u0, None
     lam = 1.0
     for _ in range(optimizer.MAX_HALVINGS + 1):
         value = trial(lam)
@@ -82,7 +87,7 @@ def reference_line_search(eval_fn, x, d, u0, slope):
             break
         lam *= 0.5
     else:
-        return 0.0, u0
+        return 0.0, u0, None
     for _ in range(optimizer.REFINE_ROUNDS):
         denom = value - u0 - slope * lam
         if denom <= 0.0:
@@ -94,13 +99,14 @@ def reference_line_search(eval_fn, x, d, u0, slope):
         if candidate >= value:
             break
         lam, value = star, candidate
-    return lam, value
+    return lam, value, None
 
 
 def test_line_search_full_step_on_easy_descent():
     x = np.array([1.0, 1.0])
     d = np.array([-1.0, -1.0])
-    lam, value = line_search(kernel_of(quadratic), x, d, quadratic(x), float(np.dot(2.0 * x, d)))
+    slope = float(np.dot(2.0 * x, d))
+    lam, value, _ = line_search(kernel_of(quadratic), x, d, quadratic(x), slope)
     assert 0.0 < lam <= 4.0
     assert value == quadratic(x + lam * d)
     assert quadratic(x + lam * d) < quadratic(x)
@@ -110,7 +116,8 @@ def test_line_search_rejects_ascent_direction():
     x = np.array([1.0, 0.0])
     d = np.array([1.0, 0.0])  # uphill
     u0 = quadratic(x)
-    assert line_search(kernel_of(quadratic), x, d, u0, float(np.dot(2.0 * x, d))) == (0.0, u0)
+    slope = float(np.dot(2.0 * x, d))
+    assert line_search(kernel_of(quadratic), x, d, u0, slope) == (0.0, u0, None)
 
 
 def test_line_search_backtracks_on_overshoot():
@@ -121,7 +128,7 @@ def test_line_search_backtracks_on_overshoot():
     x = np.array([1.0])
     d = np.array([-50.0])
     g = np.array([200.0])
-    lam, _ = line_search(kernel_of(steep), x, d, steep(x), float(np.dot(g, d)))
+    lam, _, _ = line_search(kernel_of(steep), x, d, steep(x), float(np.dot(g, d)))
     assert lam > 0.0
     assert steep(x + lam * d) <= steep(x) + 1e-4 * lam * float(np.dot(g, d))
 
@@ -134,16 +141,16 @@ def chunked_and_sequential(x, d, u0, slope, radius, index):
     counts = []
 
     def kernel(origin, direction, steps, limits):
-        k, value = neighbors.index_energy(origin, direction, steps, limits, radius, index)
-        counts.append(min(k + 1, len(steps)))
-        return k, value
+        k, value, depths = neighbors.index_energy(origin, direction, steps, limits, radius, index)
+        counts.append(1 if isinstance(steps, float) else min(k + 1, len(steps)))
+        return k, value, depths
 
-    got = line_search(kernel, x, d, u0, slope)
+    lam, value, _ = line_search(kernel, x, d, u0, slope)
     evaluated = []
-    want = reference_line_search(
+    want, want_value, _ = reference_line_search(
         kernel_of(listed_energy(radius, index), evaluated), x, d, u0, slope
     )
-    return (*got, sum(counts)), (*want, len(evaluated))
+    return (lam, value, sum(counts)), (want, want_value, len(evaluated))
 
 
 def same_bits(a, b):
@@ -222,6 +229,46 @@ def test_line_search_chunk_boundaries(n, accept_row):
         assert got == (0.0, 0.0, optimizer.MAX_HALVINGS + 1)
     else:
         assert got == (2.0**-accept_row, 0.0, accept_row + 1)
+
+
+@pytest.mark.parametrize("n", [2, 40], ids=["two-circles", "cap-binds"])
+@pytest.mark.parametrize("accept_row", [0, 1, 2, 3, 6, 7, 14, 15, 30, 31, 50, None])
+def test_index_energy_hands_back_the_accepted_rows_depths(n, accept_row):
+    # the trial kernel is called as line_search calls it: row 0 alone as a
+    # one-step call, the others in the chunk that holds them. Limits of -1
+    # reject every row before accept_row and +inf accepts it (None rejects
+    # them all). Circles 0 and 1 overlap, and circle 0 crosses the wall, so
+    # the depth arrays have active entries; at n = 40 every pair is listed
+    # and the chunks of 8, 16 and 20 steps are split into four-row blocks
+    row = 0 if accept_row is None else accept_row
+    radius = 1.0 + math.sqrt(n / 1.2)
+    x = random_layout(n, radius, Rng(row)).coords()
+    x[:4] = (radius - 0.5, 0.0, radius - 2.0, 0.3)
+    d = 0.01 * np.random.default_rng(row).uniform(-1.0, 1.0, size=x.size)
+    index = neighbors.full_index(n)
+    stop = next(s for s in optimizer._CHUNK_STARTS if s > row)
+    start = optimizer._CHUNK_STARTS[optimizer._CHUNK_STARTS.index(stop) - 1]
+    rows = np.arange(start, stop)
+    limits = np.where(rows == accept_row, math.inf, -1.0)
+    if start == 0:
+        k, value, depths = neighbors.index_energy(x, d, 1.0, float(limits[0]), radius, index)
+    else:
+        steps = optimizer._STEPS[start:stop]
+        k, value, depths = neighbors.index_energy(x, d, steps, limits, radius, index)
+    lam = optimizer._STEPS[row if accept_row is not None else stop - 1]
+    want = listed_depths(
+        (x + lam * d).reshape(n, 2), radius, index.pair_i, index.pair_j, index.container_ids
+    )
+    assert same_bits(value, want.total)
+    if accept_row is None:
+        assert (k, depths) == (stop - start, None)
+        return
+    assert k == accept_row - start
+    assert depths.pair.size and depths.wall.size
+    for got, expected in zip(depths, want):
+        got, expected = np.asarray(got), np.asarray(expected)
+        assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_update_inverse_hessian_matches_dense_formula():
@@ -377,7 +424,7 @@ def test_lbfgs_restart_starts_from_empty_memory(monkeypatch):
         nonlocal searches
         searches += 1
         if searches == 5:
-            return 0.0, u0
+            return 0.0, u0, None
         return real_search(eval_fn, x, d, u0, slope)
 
     monkeypatch.setattr(optimizer, "lbfgs_direction", direction)
@@ -501,6 +548,66 @@ def test_search_matches_sequential_line_search(monkeypatch):
     want, want_descents = run()
     assert got_descents == want_descents
     assert (got.status, got.restarts, got.hops) == (want.status, want.restarts, want.hops)
+    assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
+
+
+def record_calls(monkeypatch, name):
+    """Replace ``optimizer.<name>`` by a wrapper; returns the list of the
+    results of its calls."""
+    results = []
+    real = getattr(optimizer, name)
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(optimizer, name, recorded)
+    return results
+
+
+def test_accepted_trials_supply_the_gradients(monkeypatch):
+    # a gradient is evaluated afresh only where no trial on the current
+    # index exists: at the start and after each rebuild. Full mode never
+    # rebuilds
+    n = 60
+    layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(0))
+    gradients = record_calls(monkeypatch, "gradient_eval")
+    builds = record_calls(monkeypatch, "_build_index_raw")
+    local = bfgs_minimize(layout, mode="local", rng=Rng(0))
+    rebuilds = len(builds) - 1
+    assert local.iterations > 2 * optimizer.REFRESH_PERIOD and rebuilds >= 2
+    assert len(gradients) == 1 + rebuilds
+    gradients.clear()
+    full = bfgs_minimize(layout, mode="full", rng=Rng(0))
+    assert full.iterations > 2 * optimizer.REFRESH_PERIOD
+    assert len(gradients) == 1
+
+
+def test_coincident_accepted_point_takes_the_nudge_path(monkeypatch):
+    # circles at (-8, 0) and (8, 0) each cross the wall of radius 5 by 4,
+    # so the first steepest-descent direction moves each by 8 toward the
+    # other, and the unit step puts both centres on the origin. The line
+    # search is made to accept that step unpolished. The accepted trial's
+    # depths then give no gradient, and gradient_eval nudges circle 1
+    def unit_step(eval_fn, x, d, u0, slope):
+        _, value, depths = eval_fn(x, d, 1.0, math.inf)
+        return 1.0, value, depths
+
+    layout = Layout(np.array([[-8.0, 0.0], [8.0, 0.0]]), 5.0)
+    monkeypatch.setattr(optimizer, "line_search", unit_step)
+    gradients = record_calls(monkeypatch, "gradient_eval")
+    scatters = record_calls(monkeypatch, "scatter_gradient")
+    got, got_steps = descend_recorded(layout, mode="full", max_iterations=1, rng=Rng(0))
+    assert scatters == [None]
+    assert len(gradients) == 2
+    assert got_steps[0][1] == 8.0
+    centers = np.frombuffer(got_steps[0][0]).reshape(2, 2)
+    assert centers[0].tolist() == [0.0, 0.0]
+    assert 0.0 < math.hypot(*centers[1]) < 2e-8
+    # a kernel that hands back no depths evaluates every step afresh
+    monkeypatch.setattr(optimizer, "index_energy", reference_index_energy)
+    want, want_steps = descend_recorded(layout, mode="full", max_iterations=1, rng=Rng(0))
+    assert got_steps == want_steps
     assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
 
 
