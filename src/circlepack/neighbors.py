@@ -34,6 +34,12 @@ _COINCIDENT_JITTER = 1e-8
 # while the hundred-odd terms a local index lists at n <= 60 never split a
 # chunk
 _TRIAL_ELEMENTS = 4096
+# blocks of at least this many rows settle their leading run of rows that
+# share row 0's active sets in one pass. At n = 30 that pass costs a fixed
+# 12 us or so, the row-by-row walk about 2 us per row it settles, so fewer
+# rows (a chunk of 2 or 4 steps, or the two-row blocks of n = 400) gain
+# nothing
+_SHARED_MIN_ROWS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +118,18 @@ def index_energy(
     in would change the last bits. A block holds at most _TRIAL_ELEMENTS
     row-by-term depths, so a wide index (about 1,500 terms at n = 400) is
     evaluated a few rows at a time and memory stays flat.
+
+    The rows of a stalled search's block move so little that they mostly
+    share their active sets. A block of at least _SHARED_MIN_ROWS rows
+    therefore first takes the leading run of rows whose pair and wall
+    active sets equal row 0's and compacts them once, with ``compress``
+    along the term axis, into C-contiguous 2-D arrays; a masked index
+    would give F order, whose strided rows a dot sums in another order.
+    One stacked matmul then sums every row of the run through the dot
+    product ``ndarray.dot`` takes (``_row_dots``). The rows after the run,
+    and every row of a smaller block, are compacted and summed one at a
+    time. Either way the first row in order whose energy is at most its
+    limit is the one returned.
     """
     n = x.size // 2
     if isinstance(steps, float):
@@ -135,7 +153,22 @@ def index_energy(
         wall_depth = np.maximum(rad + 1.0 - radius, 0.0)
         pair_active = pair_depth > 0.0
         wall_active = wall_depth > 0.0
-        for k in range(lam.size):
+        run = _shared_run(pair_active, wall_active) if lam.size >= _SHARED_MIN_ROWS else 0
+        if run:
+            p = pair_depth[:run].compress(pair_active[0], axis=1)
+            c = wall_depth[:run].compress(wall_active[0], axis=1)
+            values = 2.0 * _row_dots(p) + _row_dots(c)
+            passed = values <= limits[start : start + run]
+            k = int(passed.argmax())
+            if passed[k]:
+                value = float(values[k])
+                depths = Depths(
+                    delta[k], dist[k], pair_depth[k], pair_active[k], p[k],
+                    walls[k], rad[k], wall_depth[k], wall_active[k], c[k], value,
+                )
+                return start + k, value, depths
+            value = float(values[-1])
+        for k in range(run, lam.size):
             p = pair_depth[k][pair_active[k]]
             c = wall_depth[k][wall_active[k]]
             value = 2.0 * float(p.dot(p)) + float(c.dot(c))
@@ -146,6 +179,21 @@ def index_energy(
                 )
                 return start + k, value, depths
     return steps.size, value, None
+
+
+def _shared_run(pair_active: np.ndarray, wall_active: np.ndarray) -> int:
+    """Length of the leading run of rows whose active sets equal row 0's."""
+    same = (pair_active == pair_active[0]).all(axis=1)
+    same &= (wall_active == wall_active[0]).all(axis=1)
+    # row 0 matches itself, so argmin is 0 only when every row matches
+    return int(same.argmin()) or same.size
+
+
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    """r.dot(r) of each row of the C-contiguous 2-D ``rows``, bit for bit:
+    a stacked matmul of (1, L) by (L, 1) takes each row through the dot
+    product ``ndarray.dot`` uses for one contiguous vector."""
+    return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
 
 
 def gradient_eval(

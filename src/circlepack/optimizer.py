@@ -12,7 +12,8 @@ pair; local mode restricts both to neighbor lists rebuilt every
 ``REFRESH_PERIOD`` accepted steps, so an evaluation costs time linear in
 the listed terms instead of quadratic in n. At the sizes the searches run,
 n of a few tens, a step costs numpy calls more than arithmetic, which is
-why the line search hands its trial steps to the energy kernel in chunks
+why the line search hands its trial steps to the energy kernel in chunks,
+the first reaching just past the depth the previous search accepted at
 (see ``line_search``), and why the trial that accepts a step hands back its
 overlap depths: the gradient at the new iterate is scattered from them
 instead of gathered and measured again (see ``bfgs_minimize``).
@@ -64,6 +65,28 @@ _STEPS.setflags(write=False)
 _ARMIJO_STEPS = ARMIJO_SLOPE * _STEPS
 _ARMIJO_STEPS.setflags(write=False)
 _CHUNK_STARTS = (0, 1, 3, 7, 15, 31, MAX_HALVINGS + 1)
+
+# once the previous search of a descent accepted at this many halvings or
+# more, the next one hands the kernel the steps from the unit step to
+# _DEEP_REACH halvings past that depth as its first chunk: in the stalled
+# tails of perfbench's hit-bestknown, 93-98% of the searches after one
+# that accepted at 16 halvings or more accept within two halvings of it.
+# Start depths 2, 3, 6 and 8 and reaches 1 and 3 were no faster there
+_DEEP_START = 4
+_DEEP_REACH = 2
+
+
+def _chunk_bounds(depth: int) -> tuple[int, ...]:
+    """Bounds of the chunks a search walks after one that accepted at
+    ``depth`` halvings; a first bound of 1 means the unit step goes first,
+    as a one-step call."""
+    if depth < _DEEP_START:
+        return _CHUNK_STARTS[1:]
+    stop = min(depth + _DEEP_REACH + 1, MAX_HALVINGS + 1)
+    return (0, stop) + tuple(b for b in _CHUNK_STARTS if b > stop)
+
+
+_CHUNK_BOUNDS = tuple(_chunk_bounds(depth) for depth in range(MAX_HALVINGS + 1))
 
 # the inverse-Hessian update works on blocks of rows of about this many
 # elements, so its two scratch buffers (256 KiB each) stay in cache; any
@@ -161,41 +184,52 @@ def line_search(
     d: np.ndarray,
     u0: float,
     slope: float,
-) -> tuple[float, float, Depths | None]:
-    """Backtracking step length along ``d`` from ``x``, the value there and
-    the depths the trial kernel handed back for that point.
+    depth: int = 0,
+) -> tuple[float, float, Depths | None, int]:
+    """Backtracking step length along ``d`` from ``x``, the value there,
+    the depths the trial kernel handed back for that point and the number
+    of halvings the accepted step took.
 
     ``slope`` is the directional derivative g0 . d at ``x``. The step
     lengths 1, 1/2, ..., 2**-50 are tried in order and the first that meets
     the sufficient-decrease condition U(x + lam*d) <= u0 + 1e-4 * lam *
     slope is accepted, then polished (see ``_refine``). Returns (0.0, u0,
-    None) when all 51 fail or when ``d`` is not a descent direction;
+    None, 0) when all 51 fail or when ``d`` is not a descent direction;
     callers are expected to restart from steepest descent.
 
     ``eval_fn(x, d, steps, limits)`` is a trial kernel with the contract of
     ``neighbors.index_energy``: it walks the steps in order, stops at the
     first whose value is at most its limit, and returns ``(k, value,
     depths)``, where ``depths`` may be None (the caller then evaluates the
-    accepted point afresh). The unit step goes to it as a one-step call of
-    two floats, the others in chunks of 2, 4, 8, 16 and the last 20
-    (``_CHUNK_STARTS``), each chunk as many steps as all before it: a
-    search computes fewer than twice the trial points the
-    one-step-at-a-time search would, and one that runs all 51 makes six
-    kernel calls. The accepted step and its value are those of the
+    accepted point afresh). ``depth`` only sets how the steps are handed
+    to it; the caller passes the halvings its previous search accepted.
+    Below _DEEP_START the unit step goes first as a one-step call of two
+    floats, the others in chunks of 2, 4, 8, 16 and the last 20
+    (``_CHUNK_STARTS``), each chunk as many steps as all before it, so
+    such a search computes fewer than twice the trial points the
+    one-step-at-a-time search would. From _DEEP_START on the first chunk
+    runs from the unit step to _DEEP_REACH halvings past ``depth`` and the
+    later ones end on the same bounds: a search that accepts near the
+    previous depth makes one kernel call, and one that accepts early
+    computes the rows up to that first chunk's end. Either way the
+    accepted step, its value and its halvings are those of the
     one-step-at-a-time search, bit for bit.
     """
     if slope >= 0.0:
-        return 0.0, u0, None
-    # the unit step's limit, with the bits of u0 + _ARMIJO_STEPS[0] * slope
-    k, value, depths = eval_fn(x, d, 1.0, u0 + ARMIJO_SLOPE * slope)
-    if k == 0:
-        return _refine(eval_fn, x, d, u0, slope, 1.0, value, depths)
+        return 0.0, u0, None, 0
+    bounds = _CHUNK_BOUNDS[depth]
+    if bounds[0] == 1:
+        # the unit step's limit, with the bits of u0 + _ARMIJO_STEPS[0] * slope
+        k, value, depths = eval_fn(x, d, 1.0, u0 + ARMIJO_SLOPE * slope)
+        if k == 0:
+            return (*_refine(eval_fn, x, d, u0, slope, 1.0, value, depths), 0)
     limits = u0 + _ARMIJO_STEPS * slope
-    for start, stop in zip(_CHUNK_STARTS[1:], _CHUNK_STARTS[2:]):
+    for start, stop in zip(bounds, bounds[1:]):
         k, value, depths = eval_fn(x, d, _STEPS[start:stop], limits[start:stop])
         if k < stop - start:
-            return _refine(eval_fn, x, d, u0, slope, float(_STEPS[start + k]), value, depths)
-    return 0.0, u0, None
+            lam = float(_STEPS[start + k])
+            return (*_refine(eval_fn, x, d, u0, slope, lam, value, depths), start + k)
+    return 0.0, u0, None, 0
 
 
 def _refine(eval_fn, x, d, u0, slope, lam, value, depths):
@@ -358,11 +392,14 @@ def bfgs_minimize(
     margins infinite the index provably covers every term, so the local run
     follows the full-mode trajectory bit for bit.
 
-    Each accepted step takes its energy and gradient from the depths of the
-    line-search trial that accepted it, with the bits a fresh evaluation
-    would give. ``gradient_eval`` runs only at the start, after a rebuild,
-    where the trial kernel hands back no depths, and where two listed
-    centres of the accepted point coincide (it nudges them).
+    Each line search is handed the halvings the previous one accepted at
+    (0 at the start and after a failed search), which sets only how its
+    trials are chunked. Each accepted step takes its energy and gradient
+    from the depths of the line-search trial that accepted it, with the
+    bits a fresh evaluation would give. ``gradient_eval`` runs only at the
+    start, after a rebuild, where the trial kernel hands back no depths,
+    and where two listed centres of the accepted point coincide (it nudges
+    them).
 
     Up to ``DENSE_MAX_CIRCLES`` circles the search direction comes from a
     dense inverse Hessian, above it from limited-memory BFGS; a
@@ -419,6 +456,9 @@ def bfgs_minimize(
     state = BfgsState(iterate=x, gradient=g, inv_hessian=inv_hessian)
     best_seen = total
     stall_anchor = 0
+    # the halvings the last line search accepted at (0 after a failed one);
+    # the next search starts its trials around that depth
+    halvings = 0
 
     while True:
         # the bits of np.linalg.norm(g), without its dispatch
@@ -456,7 +496,9 @@ def bfgs_minimize(
             else:
                 direction = -lbfgs_direction(g, memory)
             slope = float(np.dot(g, direction))
-            lam, accepted, depths = line_search(trial_energy, x, direction, total, slope)
+            lam, accepted, depths, halvings = line_search(
+                trial_energy, x, direction, total, slope, halvings
+            )
             if lam > 0.0:
                 break
         if lam == 0.0:

@@ -8,6 +8,7 @@ from circlepack.neighbors import (
     DEFAULT_CONTAINER_MARGIN,
     DEFAULT_PAIR_MARGIN,
     _build_index_raw,
+    _row_dots,
     energy_gradient_full,
     full_index,
     gradient_eval,
@@ -83,6 +84,25 @@ def test_index_energy_bitwise_equal_to_total_energy():
         everything = energy_at(layout.centers, layout.radius, full_index(layout.n))
         assert fresh == full
         assert everything == full
+
+
+def test_row_dots_of_compacted_rows_match_per_row_dot():
+    # the trial kernel compacts the active columns of a run of rows and
+    # sums each row with one stacked matmul; every row must get the bits
+    # ndarray.dot gives that row compacted on its own, at every length a
+    # listing can have. Magnitudes spread over 12 decades make the
+    # summation order show in the last bits
+    rng = np.random.default_rng(0)
+    for length in range(1501):
+        block = rng.uniform(size=(3, length + 7)) * 10.0 ** rng.uniform(-12.0, 0.0, size=(3, 1))
+        mask = np.zeros(length + 7, dtype=bool)
+        mask[rng.permutation(length + 7)[:length]] = True
+        rows = block.compress(mask, axis=1)
+        assert rows.flags.c_contiguous
+        sums = _row_dots(rows)
+        for k in range(3):
+            p = block[k][mask]
+            assert sums[k].tobytes() == np.float64(p.dot(p)).tobytes(), (length, k)
 
 
 def test_gradient_eval_energy_consistency():

@@ -70,24 +70,24 @@ def reference_index_energy(x, d, steps, limits, radius, index):
     return kernel_of(listed_energy(radius, index))(x, d, steps, limits)
 
 
-def reference_line_search(eval_fn, x, d, u0, slope):
+def reference_line_search(eval_fn, x, d, u0, slope, depth=0):
     """Reference: the one-step-at-a-time backtracking search and its
-    quadratic polish, each trial its own one-step kernel call. It hands
-    back no depths."""
+    quadratic polish, each trial its own one-step kernel call, whatever
+    ``depth`` the previous search accepted at. It hands back no depths."""
 
     def trial(lam):
         return eval_fn(x, d, np.array([lam]), (math.inf,))[1]
 
     if slope >= 0.0:
-        return 0.0, u0, None
+        return 0.0, u0, None, 0
     lam = 1.0
-    for _ in range(optimizer.MAX_HALVINGS + 1):
+    for halvings in range(optimizer.MAX_HALVINGS + 1):
         value = trial(lam)
         if value <= u0 + optimizer.ARMIJO_SLOPE * lam * slope:
             break
         lam *= 0.5
     else:
-        return 0.0, u0, None
+        return 0.0, u0, None, 0
     for _ in range(optimizer.REFINE_ROUNDS):
         denom = value - u0 - slope * lam
         if denom <= 0.0:
@@ -99,14 +99,15 @@ def reference_line_search(eval_fn, x, d, u0, slope):
         if candidate >= value:
             break
         lam, value = star, candidate
-    return lam, value, None
+    return lam, value, None, halvings
 
 
 def test_line_search_full_step_on_easy_descent():
     x = np.array([1.0, 1.0])
     d = np.array([-1.0, -1.0])
     slope = float(np.dot(2.0 * x, d))
-    lam, value, _ = line_search(kernel_of(quadratic), x, d, quadratic(x), slope)
+    lam, value, _, halvings = line_search(kernel_of(quadratic), x, d, quadratic(x), slope)
+    assert halvings == 0
     assert 0.0 < lam <= 4.0
     assert value == quadratic(x + lam * d)
     assert quadratic(x + lam * d) < quadratic(x)
@@ -117,7 +118,7 @@ def test_line_search_rejects_ascent_direction():
     d = np.array([1.0, 0.0])  # uphill
     u0 = quadratic(x)
     slope = float(np.dot(2.0 * x, d))
-    assert line_search(kernel_of(quadratic), x, d, u0, slope) == (0.0, u0, None)
+    assert line_search(kernel_of(quadratic), x, d, u0, slope) == (0.0, u0, None, 0)
 
 
 def test_line_search_backtracks_on_overshoot():
@@ -128,16 +129,17 @@ def test_line_search_backtracks_on_overshoot():
     x = np.array([1.0])
     d = np.array([-50.0])
     g = np.array([200.0])
-    lam, _, _ = line_search(kernel_of(steep), x, d, steep(x), float(np.dot(g, d)))
+    lam, _, _, _ = line_search(kernel_of(steep), x, d, steep(x), float(np.dot(g, d)))
     assert lam > 0.0
     assert steep(x + lam * d) <= steep(x) + 1e-4 * lam * float(np.dot(g, d))
 
 
-def chunked_and_sequential(x, d, u0, slope, radius, index):
-    """(lam, value, trials) of the chunked search with the kernel and of the
-    reference search with the reference kernel. The chunked side counts
-    trials as the optimizer does; the reference side counts the points it
-    actually evaluates."""
+def chunked_and_sequential(x, d, u0, slope, radius, index, depth=0):
+    """(lam, value, trials, halvings) of the chunked search with the kernel,
+    started at ``depth``, and of the reference search with the reference
+    kernel, then the chunked search's number of kernel calls. The chunked
+    side counts trials as the optimizer does; the reference side counts
+    the points it actually evaluates."""
     counts = []
 
     def kernel(origin, direction, steps, limits):
@@ -145,12 +147,13 @@ def chunked_and_sequential(x, d, u0, slope, radius, index):
         counts.append(1 if isinstance(steps, float) else min(k + 1, len(steps)))
         return k, value, depths
 
-    lam, value, _ = line_search(kernel, x, d, u0, slope)
+    lam, value, _, halvings = line_search(kernel, x, d, u0, slope, depth)
     evaluated = []
-    want, want_value, _ = reference_line_search(
+    want, want_value, _, want_halvings = reference_line_search(
         kernel_of(listed_energy(radius, index), evaluated), x, d, u0, slope
     )
-    return (lam, value, sum(counts)), (want, want_value, len(evaluated))
+    got = (lam, value, sum(counts), halvings)
+    return got, (want, want_value, len(evaluated), want_halvings), len(counts)
 
 
 def same_bits(a, b):
@@ -166,17 +169,21 @@ def same_bits(a, b):
     log_scale=st.floats(-12.0, 18.0),
     noise=st.floats(0.0, 2.0),
     lowered=st.sampled_from([0.0, 1e-13, 1e-6]),
+    depth=st.integers(0, optimizer.MAX_HALVINGS),
 )
-@example(n=1, seed=0, density=0.5, margin=1.0, log_scale=1.0, noise=0.0, lowered=0.0)
-@example(n=30, seed=1, density=0.9, margin=1.0, log_scale=0.0, noise=3.0, lowered=0.0)
+@example(n=1, seed=0, density=0.5, margin=1.0, log_scale=1.0, noise=0.0, lowered=0.0, depth=0)
+@example(n=30, seed=1, density=0.9, margin=1.0, log_scale=0.0, noise=3.0, lowered=0.0, depth=0)
+@example(n=30, seed=1, density=0.9, margin=1.0, log_scale=-9.0, noise=0.0, lowered=1e-13, depth=20)
 def test_line_search_matches_sequential_search(
-    n, seed, density, margin, log_scale, noise, lowered
+    n, seed, density, margin, log_scale, noise, lowered, depth
 ):
     # a perturbed steepest-descent direction scaled over 30 orders of
     # magnitude makes the search accept anywhere from the unit step to the
     # last halving, fail, or start uphill; lowering u0 by a relative 1e-13
     # (how close stall-tail values sit to the Armijo limit) or 1e-6 makes
-    # late acceptances and failures common. n = 1 lists no pair
+    # late acceptances and failures common. n = 1 lists no pair. The start
+    # depth, any number of halvings a previous search can accept at, only
+    # changes how the trials are handed to the kernel
     radius = 1.0 + math.sqrt(n / density)
     layout = random_layout(n, radius, Rng(seed))
     index = neighbors._build_index_raw(layout.centers, radius, margin, margin)
@@ -190,7 +197,7 @@ def test_line_search_matches_sequential_search(
     if norm > 0.0:
         d *= 10.0**log_scale / norm
     u0 *= 1.0 - lowered
-    got, want = chunked_and_sequential(x, d, u0, float(np.dot(g, d)), radius, index)
+    got, want, _ = chunked_and_sequential(x, d, u0, float(np.dot(g, d)), radius, index, depth)
     assert same_bits(got, want)
 
 
@@ -212,23 +219,48 @@ def trap(n, accept_row):
     return grid.reshape(-1), d.reshape(-1), radius, neighbors.full_index(n)
 
 
+# where the first chunk of a search started at a previous depth ends,
+# relative to the accepting row: rows 0 to depth + _DEEP_REACH
+FIRST_CHUNK_ENDS = {"shallow": None, "before": -1, "at": 0, "after": 1, "far-after": 9}
+
+
+def start_depth(accept_row, end):
+    """The start depth whose first chunk ends ``FIRST_CHUNK_ENDS[end]``
+    rows after ``accept_row`` (after row 30 for a search that never
+    accepts), or 0 for a shallow start."""
+    if FIRST_CHUNK_ENDS[end] is None:
+        return 0
+    row = 30 if accept_row is None else accept_row
+    depth = row + FIRST_CHUNK_ENDS[end] - optimizer._DEEP_REACH
+    return min(max(depth, 0), optimizer.MAX_HALVINGS)
+
+
 @pytest.mark.parametrize("n", [2, 40], ids=["two-circles", "cap-binds"])
 @pytest.mark.parametrize("accept_row", [0, 1, 2, 3, 6, 7, 14, 15, 30, 31, 50, None])
 def test_line_search_chunk_boundaries(n, accept_row):
-    # rows 0, 1-2, 3-6, 7-14, 15-30 and 31-50 are the chunks; None never
-    # passes (u0 = 0 puts every limit below zero) and costs all 51 trials.
-    # At n = 40 every pair is listed: 820 terms make four-row blocks, so
-    # the chunks of 8, 16 and 20 steps are split
+    # rows 0, 1-2, 3-6, 7-14, 15-30 and 31-50 are the chunks of a shallow
+    # start; a deep one first hands the kernel rows 0 to depth + 2, then
+    # the rest of those chunks past it. None never passes (u0 = 0 puts
+    # every limit below zero) and costs all 51 trials. At n = 40 every pair
+    # is listed: 820 terms make four-row blocks, so the chunks of 8 steps
+    # and more are split
     x, d, radius, index = trap(n, 0 if accept_row is None else accept_row)
     if n == 40:
         assert neighbors._TRIAL_ELEMENTS // (index.pair_i.size + index.container_ids.size) < 8
     u0 = 0.0 if accept_row is None else 0.5
-    got, want = chunked_and_sequential(x, d, u0, -1.0, radius, index)
-    assert same_bits(got, want)
-    if accept_row is None:
-        assert got == (0.0, 0.0, optimizer.MAX_HALVINGS + 1)
-    else:
-        assert got == (2.0**-accept_row, 0.0, accept_row + 1)
+    for end in FIRST_CHUNK_ENDS:
+        depth = start_depth(accept_row, end)
+        got, want, calls = chunked_and_sequential(x, d, u0, -1.0, radius, index, depth)
+        assert same_bits(got, want), end
+        if accept_row is None:
+            assert got == (0.0, 0.0, optimizer.MAX_HALVINGS + 1, 0)
+        else:
+            assert got == (2.0**-accept_row, 0.0, accept_row + 1, accept_row)
+        # a deep start settles the search in one kernel call when its first
+        # chunk reaches the accepting row, and in two when it ends just
+        # before (the polish tries no candidate on this line)
+        if accept_row is not None and depth >= optimizer._DEEP_START:
+            assert calls == (2 if end == "before" else 1), end
 
 
 @pytest.mark.parametrize("n", [2, 40], ids=["two-circles", "cap-binds"])
@@ -265,10 +297,49 @@ def test_index_energy_hands_back_the_accepted_rows_depths(n, accept_row):
         return
     assert k == accept_row - start
     assert depths.pair.size and depths.wall.size
+    assert_same_depths(depths, want)
+
+
+def assert_same_depths(depths, want):
     for got, expected in zip(depths, want):
         got, expected = np.asarray(got), np.asarray(expected)
         assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("accept_row", [0, 2, 4, 5, 7, 11, None])
+def test_index_energy_settles_a_shared_run_and_the_rows_after_it(accept_row):
+    # one 12-row block: circles 0 and 1 overlap and circle 0 crosses the
+    # wall on every row, and circle 3 moves straight at circle 2 from 2.05
+    # away, so the pair (2, 3) overlaps on rows 0-4 (steps above 0.05)
+    # only. Rows 0-4 share row 0's active sets and are settled in one pass;
+    # rows 5-11 have other sets and go row by row
+    n, radius = 6, 10.0
+    x = np.array([(9.5, 0.0), (8.0, 0.3), (0.0, 0.0), (2.05, 0.0), (-5.0, 0.0), (0.0, -5.0)])
+    d = np.zeros((n, 2))
+    d[3] = (-1.0, 0.0)
+    d[4:] = 1e-3
+    x, d = x.reshape(-1), d.reshape(-1)
+    index = neighbors.full_index(n)
+    steps = optimizer._STEPS[:12]
+    assert steps.size >= neighbors._SHARED_MIN_ROWS
+
+    def depths_at(lam):
+        return listed_depths(
+            (x + lam * d).reshape(n, 2), radius, index.pair_i, index.pair_j, index.container_ids
+        )
+
+    active = [np.concatenate((w.pair_active, w.wall_active)) for w in map(depths_at, steps)]
+    assert [a.tobytes() == active[0].tobytes() for a in active] == [True] * 5 + [False] * 7
+    limits = np.where(np.arange(steps.size) == accept_row, math.inf, -1.0)
+    k, value, depths = neighbors.index_energy(x, d, steps, limits, radius, index)
+    want = depths_at(steps[-1 if accept_row is None else accept_row])
+    assert same_bits(value, want.total)
+    if accept_row is None:
+        assert (k, depths) == (steps.size, None)
+        return
+    assert k == accept_row
+    assert_same_depths(depths, want)
 
 
 def test_update_inverse_hessian_matches_dense_formula():
@@ -420,12 +491,12 @@ def test_lbfgs_restart_starts_from_empty_memory(monkeypatch):
         sizes.append(len(memory))
         return real_direction(g, memory)
 
-    def search(eval_fn, x, d, u0, slope):
+    def search(eval_fn, x, d, u0, slope, depth):
         nonlocal searches
         searches += 1
         if searches == 5:
-            return 0.0, u0, None
-        return real_search(eval_fn, x, d, u0, slope)
+            return 0.0, u0, None, 0
+        return real_search(eval_fn, x, d, u0, slope, depth)
 
     monkeypatch.setattr(optimizer, "lbfgs_direction", direction)
     monkeypatch.setattr(optimizer, "line_search", search)
@@ -551,6 +622,51 @@ def test_search_matches_sequential_line_search(monkeypatch):
     assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
 
 
+def test_deep_start_changes_only_the_kernel_calls(monkeypatch):
+    # a descent at the best-known radius of n = 12 jams: 94 of its 149
+    # line searches follow one that accepted at _DEEP_START halvings or
+    # more. Handing every search depth 0 instead must give the same steps
+    # and outcome, bit for bit; a search after a deep one that accepts
+    # within _DEEP_REACH halvings past that depth makes one kernel call
+    # before its polish, and most do
+    real = optimizer.line_search
+    searches = []
+
+    def counted(eval_fn, x, d, u0, slope, depth):
+        calls = 0
+
+        def kernel(origin, direction, steps, limits):
+            nonlocal calls
+            # the polish's candidates are one-step calls with no limit
+            calls += not (isinstance(steps, float) and limits == math.inf)
+            return eval_fn(origin, direction, steps, limits)
+
+        found = real(kernel, x, d, u0, slope, depth)
+        searches.append((depth, found[3], calls))
+        return found
+
+    def run():
+        layout = random_layout(12, cp.load_best_known().radius_for(12), Rng(0))
+        return descend_recorded(layout, rng=Rng(0))
+
+    monkeypatch.setattr(optimizer, "line_search", counted)
+    got, got_steps = run()
+    monkeypatch.setattr(
+        optimizer, "line_search", lambda eval_fn, x, d, u0, slope, depth: real(eval_fn, x, d, u0, slope)
+    )
+    want, want_steps = run()
+    assert got_steps == want_steps
+    assert (got.status, got.iterations, got.evaluations, got.energy) == (
+        want.status, want.iterations, want.evaluations, want.energy
+    )
+    assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
+    after_deep = [s for s in searches if s[0] >= optimizer._DEEP_START]
+    near = [calls for depth, halvings, calls in after_deep if halvings <= depth + optimizer._DEEP_REACH]
+    assert len(after_deep) >= 50
+    assert near == [1] * len(near)
+    assert len(near) >= 0.9 * len(after_deep)
+
+
 def record_calls(monkeypatch, name):
     """Replace ``optimizer.<name>`` by a wrapper; returns the list of the
     results of its calls."""
@@ -589,9 +705,9 @@ def test_coincident_accepted_point_takes_the_nudge_path(monkeypatch):
     # other, and the unit step puts both centres on the origin. The line
     # search is made to accept that step unpolished. The accepted trial's
     # depths then give no gradient, and gradient_eval nudges circle 1
-    def unit_step(eval_fn, x, d, u0, slope):
+    def unit_step(eval_fn, x, d, u0, slope, depth):
         _, value, depths = eval_fn(x, d, 1.0, math.inf)
-        return 1.0, value, depths
+        return 1.0, value, depths, 0
 
     layout = Layout(np.array([[-8.0, 0.0], [8.0, 0.0]]), 5.0)
     monkeypatch.setattr(optimizer, "line_search", unit_step)
