@@ -135,7 +135,8 @@ def cmd_improve(args) -> int:
     print(f"start_radius={format_decimal(start_radius)}")
     for line in _report_lines(report):
         print(line)
-    if args.best_known is not None and report.status is SolveStatus.FEASIBLE:
+    # the start radius came from the --best-known table unless --radius was given
+    if args.radius is None and report.status is SolveStatus.FEASIBLE:
         print(f"improvement={format_decimal(start_radius - report.radius)}")
     _write_outputs(report, args)
     return EXIT_OK if report.status is SolveStatus.FEASIBLE else EXIT_NO_SOLUTION

@@ -197,27 +197,62 @@ def candidate_pairs(centers: np.ndarray, reach: float) -> tuple[np.ndarray, np.n
 
 
 class Depths(NamedTuple):
-    """The depth stage of one point over listed terms (``listed_depths``).
-
-    Per listed pair: the centre difference i - j (shape (P, 2)), its
-    length, the overlap depth and whether that depth is positive; per
-    listed wall circle: the centre (shape (W, 2)), its distance from the
-    origin, the wall depth and whether it is positive. ``pair`` and
-    ``wall`` are the positive depths alone, in listing order, and
-    ``total`` is the energy they make.
-    """
+    """The depths of one point over listed terms: the six arrays of
+    ``depth_stage``, then the positive pair and wall depths alone, in
+    listing order (``pair``, ``wall``), and the energy they make."""
 
     delta: np.ndarray
     dist: np.ndarray
     pair_depth: np.ndarray
-    pair_active: np.ndarray
-    pair: np.ndarray
     walls: np.ndarray
     rad: np.ndarray
     wall_depth: np.ndarray
-    wall_active: np.ndarray
+    pair: np.ndarray
     wall: np.ndarray
     total: float
+
+    def energy(self) -> Energy:
+        """The ``Energy`` of these terms; empty lists give +0.0 throughout."""
+        # depths are >= 0, so initial=0.0 changes no maximum of a non-empty list
+        pair_max, wall_max = self.pair_depth.max(initial=0.0), self.wall_depth.max(initial=0.0)
+        return Energy(self.total, float(pair_max), float(wall_max))
+
+
+# Only the elementwise stage is shared. Measured on a 2-vCPU virtual
+# machine over points sampled from perfbench's hit-bestknown cells: a
+# one-point trial run as a one-row block costs 35.9 us against 27.1 us
+# for ``listed_depths``, and one-point calls are 39,957 of a round's
+# 53,926 kernel calls. Scattering the gradient over every listed pair
+# instead of the active ones gives the same bits and is faster on local
+# lists (17.4 against 32.2 us), but in full mode at n = 200 it takes 278
+# against 95 us (205 of 19,900 pairs active), and a listed wall circle at
+# the origin with no active wall term would divide 0 by 0.
+def depth_stage(
+    centers: np.ndarray,
+    radius: float,
+    pair_i: np.ndarray,
+    pair_j: np.ndarray,
+    container_ids: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Elementwise depths of the given pairs and wall terms of ``centers``,
+    one point (n, 2) or a block of points (rows, n, 2).
+
+    Returns ``(delta, dist, pair_depth, walls, rad, wall_depth)`` with the
+    leading axes of ``centers``: per listed pair the centre difference
+    i - j (..., P, 2), its length and the overlap depth; per listed wall
+    circle the centre (..., W, 2), its distance from the origin and the
+    wall depth. Each point of a block gets the bits it gets alone. For
+    finite centres every depth is ``np.maximum`` of 0.0 and a finite or
+    infinite value, never NaN, so it is nonzero exactly when positive.
+    """
+    # take gathers along the circle axis faster than fancy indexing
+    delta = centers.take(pair_i, axis=-2) - centers.take(pair_j, axis=-2)
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    pair_depth = np.maximum(2.0 - dist, 0.0)
+    walls = centers.take(container_ids, axis=-2)
+    rad = np.hypot(walls[..., 0], walls[..., 1])
+    wall_depth = np.maximum(rad + 1.0 - radius, 0.0)
+    return delta, dist, pair_depth, walls, rad, wall_depth
 
 
 def listed_depths(
@@ -227,31 +262,21 @@ def listed_depths(
     pair_j: np.ndarray,
     container_ids: np.ndarray,
 ) -> Depths:
-    """Depths of the given pairs and wall terms of ``centers``, shape (n, 2).
+    """``depth_stage`` of one point, shape (n, 2), and its energy.
 
     Every listed pair contributes twice its squared depth to ``total``
     (each member of the pair stores the same deformation); each listed
     wall term contributes its squared depth once. An empty list
     contributes +0.0.
     """
-    # take gathers along the circle axis faster than fancy indexing
-    delta = centers.take(pair_i, axis=0) - centers.take(pair_j, axis=0)
-    dist = np.hypot(delta[:, 0], delta[:, 1])
-    pair_depth = np.maximum(2.0 - dist, 0.0)
+    stage = depth_stage(centers, radius, pair_i, pair_j, container_ids)
+    pair_depth, wall_depth = stage[2], stage[5]
     # summing only the active depths keeps the accumulation order
     # independent of how many zero-depth terms the listing carries
-    pair_active = pair_depth > 0.0
-    pair = pair_depth[pair_active]
-    walls = centers.take(container_ids, axis=0)
-    rad = np.hypot(walls[:, 0], walls[:, 1])
-    wall_depth = np.maximum(rad + 1.0 - radius, 0.0)
-    wall_active = wall_depth > 0.0
-    wall = wall_depth[wall_active]
+    pair = pair_depth[pair_depth > 0.0]
+    wall = wall_depth[wall_depth > 0.0]
     total = 2.0 * float(pair.dot(pair)) + float(wall.dot(wall))
-    return Depths(
-        delta, dist, pair_depth, pair_active, pair,
-        walls, rad, wall_depth, wall_active, wall, total,
-    )
+    return Depths(*stage, pair, wall, total)
 
 
 def scatter_gradient(
@@ -262,20 +287,22 @@ def scatter_gradient(
     n: int,
 ) -> np.ndarray | None:
     """Analytic gradient of ``depths.total`` over n circles, shape (n, 2),
-    where ``depths`` is what ``listed_depths`` gave for these terms; None
-    when two centres of an overlapping listed pair coincide, since the push
-    direction between them is undefined.
+    from the depths of these terms at one point (``listed_depths`` or the
+    trial kernel's accepted row); None when two centres of an overlapping
+    listed pair coincide, since the push direction between them is
+    undefined.
 
-    Each axis of the gradient is one ``np.bincount`` per pair side, their
-    difference, and then one ``np.bincount`` of the wall terms added to
-    it. Every bin receives its terms in listing order.
+    The active terms are the nonzero depths. Each axis of the gradient is
+    one ``np.bincount`` per pair side over the active pairs, their
+    difference, and then one ``np.bincount`` of the active wall terms
+    added to it. Every bin receives its terms in listing order.
     """
     grad = np.zeros((n, 2))
     # the size guards skip several numpy calls on an empty active list,
     # which is the common case for the wall terms (and bincount of no
     # terms comes back as integers)
     if depths.pair.size:
-        active = depths.pair_active.nonzero()[0]
+        active = depths.pair_depth.nonzero()[0]
         dist = depths.dist.take(active)
         # a coincident pair has depth 2, so the total is at least 8
         if depths.total >= 8.0 and not dist.all():
@@ -291,7 +318,7 @@ def scatter_gradient(
                 ii, terms, minlength=n
             )
     if depths.wall.size:
-        active = depths.wall_active.nonzero()[0]
+        active = depths.wall_depth.nonzero()[0]
         ids = container_ids.take(active)
         walls = depths.walls.take(active, axis=0)
         # rad > 0 whenever the wall term is active, since radius > 0
@@ -311,27 +338,11 @@ def evaluate_pairs(
     pair_i: np.ndarray,
     pair_j: np.ndarray,
     container_ids: np.ndarray,
-    with_gradient: bool = False,
-):
-    """Energy restricted to the given circle pairs and container candidates.
-
-    Returns the ``Energy`` over the listed terms only (``listed_depths``
-    gives their total); an empty list contributes +0.0 to the total and to
-    its maximum. With ``with_gradient`` it returns ``(energy, grad)``,
-    where ``grad`` is the analytic gradient of that total, shape (n, 2), or
-    None when two centers of an overlapping listed pair coincide (see
-    ``scatter_gradient``).
-    """
-    depths = listed_depths(centers, radius, pair_i, pair_j, container_ids)
-    # depths are >= 0, so initial=0.0 changes no maximum of a non-empty list
-    energy = Energy(
-        total=depths.total,
-        max_pair_depth=float(depths.pair_depth.max(initial=0.0)),
-        max_container_depth=float(depths.wall_depth.max(initial=0.0)),
-    )
-    if not with_gradient:
-        return energy
-    return energy, scatter_gradient(depths, pair_i, pair_j, container_ids, centers.shape[0])
+) -> Energy:
+    """Energy of ``centers``, shape (n, 2), restricted to the given circle
+    pairs and container candidates: the ``Energy`` of ``listed_depths``,
+    whose gradient ``neighbors.gradient_eval`` adds."""
+    return listed_depths(centers, radius, pair_i, pair_j, container_ids).energy()
 
 
 def total_energy(layout: Layout) -> Energy:

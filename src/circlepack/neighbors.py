@@ -19,8 +19,9 @@ from .geometry import (
     Rng,
     all_pair_indices,
     candidate_pairs,
-    evaluate_pairs,
+    depth_stage,
     listed_depths,
+    scatter_gradient,
 )
 
 # Boundary-to-boundary distances at or below these count as adjacent.
@@ -102,22 +103,19 @@ def index_energy(
     walked in order up to the first one whose energy is at most
     ``limits[k]``; returns ``(k, energy of row k, depths of row k)``, or
     ``(len(steps), energy of the last row, None)`` when no row qualifies,
-    where len(steps) is 1 for a one-step call. The depths are those
-    ``geometry.listed_depths`` gives at the accepted point, so
-    ``geometry.scatter_gradient`` takes the gradient there without
-    gathering again.
+    where len(steps) is 1 for a one-step call. ``geometry.scatter_gradient``
+    takes the accepted point's gradient from its depths.
 
-    Every row's energy has the bits ``geometry.evaluate_pairs`` gives at
-    that one point. A one-step call runs ``listed_depths`` on that point.
-    Otherwise trial points, gathers, ``hypot`` and ``maximum``, all
-    elementwise, are computed for a block of rows in one pass, and the
-    accepted row's depths are row slices of the block. The sums are not
-    elementwise: BLAS sums a vector in an order set by its length, so each
-    row's active depths are compacted and go through the same dot product
-    that ``listed_depths`` takes; summing a row with its zero depths left
-    in would change the last bits. A block holds at most _TRIAL_ELEMENTS
-    row-by-term depths, so a wide index (about 1,500 terms at n = 400) is
-    evaluated a few rows at a time and memory stays flat.
+    Every row's energy and depths have the bits ``geometry.listed_depths``
+    gives at that one point. A one-step call runs it. Otherwise a block of
+    rows, shape (rows, n, 2), goes through ``geometry.depth_stage`` in one
+    pass. The sums are not elementwise: BLAS sums a vector in an order set
+    by its length, so each row's active depths are compacted and go
+    through the same dot product that ``listed_depths`` takes; summing a
+    row with its zero depths left in would change the last bits. A block
+    holds at most _TRIAL_ELEMENTS row-by-term depths, so a wide index
+    (about 1,500 terms at n = 400) is evaluated a few rows at a time and
+    memory stays flat.
 
     The rows of a stalled search's block move so little that they mostly
     share their active sets. A block of at least _SHARED_MIN_ROWS rows
@@ -143,14 +141,11 @@ def index_energy(
     block = max(1, _TRIAL_ELEMENTS // max(terms, 1))
     for start in range(0, steps.size, block):
         lam = steps[start : start + block]
-        centers = (x + lam[:, None] * d).reshape(lam.size, n, 2)
-        # take gathers along the circle axis faster than fancy indexing
-        delta = centers.take(index.pair_i, axis=1) - centers.take(index.pair_j, axis=1)
-        dist = np.hypot(delta[..., 0], delta[..., 1])
-        pair_depth = np.maximum(2.0 - dist, 0.0)
-        walls = centers.take(index.container_ids, axis=1)
-        rad = np.hypot(walls[..., 0], walls[..., 1])
-        wall_depth = np.maximum(rad + 1.0 - radius, 0.0)
+        stage = depth_stage(
+            (x + lam[:, None] * d).reshape(lam.size, n, 2),
+            radius, index.pair_i, index.pair_j, index.container_ids,
+        )
+        pair_depth, wall_depth = stage[2], stage[5]
         pair_active = pair_depth > 0.0
         wall_active = wall_depth > 0.0
         run = _shared_run(pair_active, wall_active) if lam.size >= _SHARED_MIN_ROWS else 0
@@ -162,22 +157,14 @@ def index_energy(
             k = int(passed.argmax())
             if passed[k]:
                 value = float(values[k])
-                depths = Depths(
-                    delta[k], dist[k], pair_depth[k], pair_active[k], p[k],
-                    walls[k], rad[k], wall_depth[k], wall_active[k], c[k], value,
-                )
-                return start + k, value, depths
+                return start + k, value, Depths(*[a[k] for a in stage], p[k], c[k], value)
             value = float(values[-1])
         for k in range(run, lam.size):
             p = pair_depth[k][pair_active[k]]
             c = wall_depth[k][wall_active[k]]
             value = 2.0 * float(p.dot(p)) + float(c.dot(c))
             if value <= limits[start + k]:
-                depths = Depths(
-                    delta[k], dist[k], pair_depth[k], pair_active[k], p,
-                    walls[k], rad[k], wall_depth[k], wall_active[k], c, value,
-                )
-                return start + k, value, depths
+                return start + k, value, Depths(*[a[k] for a in stage], p, c, value)
     return steps.size, value, None
 
 
@@ -205,25 +192,25 @@ def gradient_eval(
     """Energy and analytic gradient over the index's listed terms.
 
     Returns ``(energy, grad, centers)``: the ``Energy`` of the listed terms
-    and ``grad`` of shape (n, 2). Coincident centers make the pair gradient
-    direction undefined; in that case one member is nudged by 1e-8 in a
-    random direction and the evaluation reruns on the nudged copy, which is
-    returned so callers can adopt it.
+    (that of ``geometry.evaluate_pairs``) and ``grad`` of shape (n, 2),
+    which ``geometry.scatter_gradient`` takes from the same depths.
+    Coincident centers make the pair gradient direction undefined; in that
+    case one member is nudged by 1e-8 in a random direction and the
+    evaluation reruns on the nudged copy, which is returned so callers can
+    adopt it.
     """
+    pair_i, pair_j, container_ids = index.pair_i, index.pair_j, index.container_ids
     while True:
-        energy, grad = evaluate_pairs(
-            centers, radius, index.pair_i, index.pair_j, index.container_ids, with_gradient=True
-        )
+        depths = listed_depths(centers, radius, pair_i, pair_j, container_ids)
+        grad = scatter_gradient(depths, pair_i, pair_j, container_ids, centers.shape[0])
         if grad is not None:
-            return energy, grad, centers
-        centers = _nudge_coincident(centers, index.pair_i, index.pair_j, rng)
+            return depths.energy(), grad, centers
+        centers = _nudge_coincident(centers, depths.dist, pair_j, rng)
 
 
-def _nudge_coincident(centers, pair_i, pair_j, rng: Rng | None):
+def _nudge_coincident(centers, dist, pair_j, rng: Rng | None):
     if rng is None:
         rng = Rng(0)
-    delta = centers.take(pair_i, axis=0) - centers.take(pair_j, axis=0)
-    dist = np.hypot(delta[:, 0], delta[:, 1])
     out = centers.copy()
     for k in np.flatnonzero(dist == 0.0):
         angle = 2.0 * np.pi * rng.random()

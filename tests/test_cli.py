@@ -145,6 +145,19 @@ def test_improve_reports_improvement(table_csv, tmp_path, capsys):
     assert doc.feasible
 
 
+def test_improve_with_radius_and_table_reports_no_improvement(table_csv, capsys):
+    # --radius takes precedence over the table's 2.0, and an improvement
+    # over the user's own start value is not one over the best known
+    code = main([
+        "improve", "--n", "2", "--radius", "2.5", "--best-known", table_csv,
+        "--max-restarts", "1",
+    ])
+    assert code == EXIT_OK
+    captured = capsys.readouterr().out
+    assert "start_radius=2.5" in captured
+    assert "improvement=" not in captured
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     good = tmp_path / "good.txt"
     cp.write_layout(cp.Layout(np.array([[-1.0, 0.0], [1.0, 0.0]]), 2.0), None, good)

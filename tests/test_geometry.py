@@ -20,6 +20,7 @@ from circlepack.geometry import (
     scatter_gradient,
     total_energy,
 )
+from circlepack.neighbors import NeighborIndex, gradient_eval
 
 
 def test_pair_depth_basic():
@@ -180,7 +181,7 @@ def test_evaluate_pairs_empty_term_lists_are_positive_zero(
     pair_i, pair_j = all_pair_indices(n) if listed_pairs else (NO_TERMS, NO_TERMS)
     walls = np.arange(n) if listed_walls else NO_TERMS
     energy = evaluate_pairs(centers, radius, pair_i, pair_j, walls)
-    with_grad, grad = evaluate_pairs(centers, radius, pair_i, pair_j, walls, with_gradient=True)
+    with_grad, grad, _ = gradient_eval(centers, radius, NeighborIndex(pair_i, pair_j, walls))
     assert energy == with_grad == Energy(0.0, 0.0, 0.0)
     for value in (energy.total, energy.max_pair_depth, energy.max_container_depth):
         assert math.copysign(1.0, value) == 1.0
@@ -227,18 +228,39 @@ def reference_gradient(centers, radius, pair_i, pair_j, container_ids):
     wall_share=st.sampled_from([0.0, 0.5, 1.0]),
     wall_slack=st.floats(-0.5, 3.0),
     coincide=st.booleans(),
+    touch=st.sampled_from(["none", "pair", "wall"]),
 )
 # empty active sets: circles far apart, deep inside the wall
-@example(n=5, seed=0, density=0.05, pair_share=1.0, wall_share=1.0, wall_slack=3.0, coincide=False)
+@example(
+    n=5, seed=0, density=0.05, pair_share=1.0, wall_share=1.0, wall_slack=3.0, coincide=False,
+    touch="none",
+)
 # wall terms alone: no pair listed
 @example(
-    n=12, seed=1, density=0.9, pair_share=0.0, wall_share=1.0, wall_slack=-0.5, coincide=False
+    n=12, seed=1, density=0.9, pair_share=0.0, wall_share=1.0, wall_slack=-0.5, coincide=False,
+    touch="none",
 )
 # n = 1 lists no pair; a coincident pair gives no gradient
-@example(n=1, seed=2, density=0.5, pair_share=1.0, wall_share=1.0, wall_slack=-0.5, coincide=False)
-@example(n=6, seed=3, density=0.9, pair_share=1.0, wall_share=1.0, wall_slack=0.0, coincide=True)
+@example(
+    n=1, seed=2, density=0.5, pair_share=1.0, wall_share=1.0, wall_slack=-0.5, coincide=False,
+    touch="none",
+)
+@example(
+    n=6, seed=3, density=0.9, pair_share=1.0, wall_share=1.0, wall_slack=0.0, coincide=True,
+    touch="none",
+)
+# depth exactly 0: a listed pair exactly 2.0 apart, a circle exactly
+# touching the wall; neither term is active
+@example(
+    n=6, seed=4, density=0.5, pair_share=1.0, wall_share=1.0, wall_slack=-0.5, coincide=False,
+    touch="pair",
+)
+@example(
+    n=6, seed=5, density=0.5, pair_share=1.0, wall_share=1.0, wall_slack=-0.5, coincide=False,
+    touch="wall",
+)
 def test_scatter_gradient_matches_four_bincount_reference(
-    n, seed, density, pair_share, wall_share, wall_slack, coincide
+    n, seed, density, pair_share, wall_share, wall_slack, coincide, touch
 ):
     # the listed pairs are a subset of all pairs in lexicographic order, so
     # a circle repeats across many of them; the wall slack moves the
@@ -251,19 +273,28 @@ def test_scatter_gradient_matches_four_bincount_reference(
     if coincide and n >= 2:
         centers[1] = centers[0]
     radius = spread + 1.0 - wall_slack
+    # both placements are exact: (radius - 1) + 1 rounds to radius
+    if touch == "pair" and n >= 2:
+        centers[:2] = ((-1.0, 0.0), (1.0, 0.0))
+    if touch == "wall" and radius >= 1.0:
+        centers[0] = (0.0, radius - 1.0)
     pair_i, pair_j = all_pair_indices(n)
     keep = rng.random(pair_i.size) < pair_share
     pair_i, pair_j = pair_i[keep], pair_j[keep]
     container_ids = np.flatnonzero(rng.random(n) < wall_share)
     want = reference_gradient(centers, radius, pair_i, pair_j, container_ids)
     depths = listed_depths(centers, radius, pair_i, pair_j, container_ids)
+    if touch == "pair" and n >= 2:
+        assert np.all(depths.pair_depth[(pair_i == 0) & (pair_j == 1)] == 0.0)
+    if touch == "wall" and radius >= 1.0:
+        assert np.all(depths.wall_depth[container_ids == 0] == 0.0)
     got = scatter_gradient(depths, pair_i, pair_j, container_ids, n)
-    _, with_grad = evaluate_pairs(
-        centers, radius, pair_i, pair_j, container_ids, with_gradient=True
-    )
     if want is None:
-        assert got is None and with_grad is None
+        assert got is None
     else:
+        _, with_grad, _ = gradient_eval(
+            centers, radius, NeighborIndex(pair_i, pair_j, container_ids)
+        )
         assert got.shape == (n, 2)
         assert got.tobytes() == want.tobytes()
         assert with_grad.tobytes() == want.tobytes()

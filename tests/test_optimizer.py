@@ -307,6 +307,42 @@ def assert_same_depths(depths, want):
         assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("rows", [2, 12], ids=["row-by-row", "shared-run"])
+@pytest.mark.parametrize("accept_row", [0, 1, None])
+@pytest.mark.parametrize("empty", ["pairs", "walls"])
+def test_index_energy_block_depths_match_one_point_on_empty_gathers(empty, accept_row, rows):
+    # the block stage gathers no term of one kind: n = 1 lists no pair,
+    # and an index of all pairs at n = 6 with no wall term; the listed
+    # terms of the other kind are active. The accepted row's depths, the
+    # empty ones included, have the shapes, dtypes and bits of the
+    # one-point stage
+    if empty == "pairs":
+        n, radius = 1, 1.5
+        x = np.array([0.8, 0.0])
+        index = neighbors.full_index(1)
+    else:
+        n, radius = 6, 2.0
+        x = random_layout(n, 3.0, Rng(7)).coords()
+        full = neighbors.full_index(n)
+        index = neighbors.NeighborIndex(full.pair_i, full.pair_j, np.array([], dtype=np.intp))
+    d = 0.01 * np.random.default_rng(rows).uniform(-1.0, 1.0, size=x.size)
+    steps = optimizer._STEPS[:rows]
+    limits = np.where(np.arange(rows) == accept_row, math.inf, -1.0)
+    k, value, depths = neighbors.index_energy(x, d, steps, limits, radius, index)
+    want = listed_depths(
+        (x + steps[-1 if accept_row is None else accept_row] * d).reshape(n, 2),
+        radius, index.pair_i, index.pair_j, index.container_ids,
+    )
+    assert same_bits(value, want.total)
+    if accept_row is None:
+        assert (k, depths) == (rows, None)
+        return
+    assert k == accept_row
+    assert (depths.pair.size == 0) == (empty == "pairs")
+    assert (depths.wall.size == 0) == (empty == "walls")
+    assert_same_depths(depths, want)
+
+
 @pytest.mark.parametrize("accept_row", [0, 2, 4, 5, 7, 11, None])
 def test_index_energy_settles_a_shared_run_and_the_rows_after_it(accept_row):
     # one 12-row block: circles 0 and 1 overlap and circle 0 crosses the
@@ -329,7 +365,9 @@ def test_index_energy_settles_a_shared_run_and_the_rows_after_it(accept_row):
             (x + lam * d).reshape(n, 2), radius, index.pair_i, index.pair_j, index.container_ids
         )
 
-    active = [np.concatenate((w.pair_active, w.wall_active)) for w in map(depths_at, steps)]
+    active = [
+        np.concatenate((w.pair_depth > 0.0, w.wall_depth > 0.0)) for w in map(depths_at, steps)
+    ]
     assert [a.tobytes() == active[0].tobytes() for a in active] == [True] * 5 + [False] * 7
     limits = np.where(np.arange(steps.size) == accept_row, math.inf, -1.0)
     k, value, depths = neighbors.index_energy(x, d, steps, limits, radius, index)
