@@ -9,6 +9,7 @@ malformed or unreadable input file.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -76,11 +77,13 @@ def _resolve_radius(args, n: int, bundled: bool = False) -> float:
         raise UsageError(str(exc)) from None
 
 
-def _refuse_same_file(first: str | None, second: str | None) -> None:
-    """Exit 64 when both paths are given and resolve to one file, so that
-    no write replaces the input or the other output."""
-    if None not in (first, second) and Path(first).resolve() == Path(second).resolve():
-        raise UsageError(f"{first} and {second} are the same file")
+def _refuse_same_file(*paths: str | None) -> None:
+    """Exit 64 when two of the given paths resolve to one file, so that no
+    write replaces an input or another output."""
+    given = [path for path in paths if path is not None]
+    for first, second in itertools.combinations(given, 2):
+        if Path(first).resolve() == Path(second).resolve():
+            raise UsageError(f"{first} and {second} are the same file")
 
 
 def _report_lines(report) -> list[str]:
@@ -106,8 +109,8 @@ def _write_outputs(report, args) -> None:
 
 
 def cmd_solve(args) -> int:
+    _refuse_same_file(args.best_known, args.out, args.svg)
     radius = _resolve_radius(args, args.n)
-    _refuse_same_file(args.out, args.svg)
     report = global_search(
         args.n,
         radius,
@@ -122,8 +125,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_improve(args) -> int:
+    _refuse_same_file(args.best_known, args.out, args.svg)
     start_radius = _resolve_radius(args, args.n)
-    _refuse_same_file(args.out, args.svg)
     report = minimize_radius(
         args.n,
         start_radius,
@@ -194,6 +197,7 @@ def _parse_ns(text: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
+    _refuse_same_file(args.best_known, args.out)
     ns = _parse_ns(args.n)
     if args.experiment == "hits":
         if args.radius is not None:

@@ -221,8 +221,8 @@ class Depths(NamedTuple):
 # Only the elementwise stage is shared. Measured on a 2-vCPU virtual
 # machine over points sampled from perfbench's hit-bestknown cells: a
 # one-point trial run as a one-row block costs 35.9 us against 27.1 us
-# for ``listed_depths``, and one-point calls are 39,957 of a round's
-# 53,926 kernel calls. Scattering the gradient over every listed pair
+# for ``listed_depths``, and one-point calls are 33,648 of a round's
+# 49,797 kernel calls. Scattering the gradient over every listed pair
 # instead of the active ones gives the same bits and is faster on local
 # lists (17.4 against 32.2 us), but in full mode at n = 200 it takes 278
 # against 95 us (205 of 19,900 pairs active), and a listed wall circle at

@@ -32,14 +32,15 @@ _COINCIDENT_JITTER = 1e-8
 
 # a block of line-search trials holds at most this many row-by-term depths
 # (32 KiB per array): a 1,500-term index at n = 400 gets two-row blocks,
-# while the hundred-odd terms a local index lists at n <= 60 never split a
-# chunk
+# while the hundred-odd terms a local index lists at n <= 60 split only
+# chunks of more than 20 rows
 _TRIAL_ELEMENTS = 4096
 # blocks of at least this many rows settle their leading run of rows that
 # share row 0's active sets in one pass. At n = 30 that pass costs a fixed
 # 12 us or so, the row-by-row walk about 2 us per row it settles, so fewer
-# rows (a chunk of 2 or 4 steps, or the two-row blocks of n = 400) gain
-# nothing
+# rows gain nothing: a first chunk after a search that accepted within 6
+# halvings, a later chunk that starts before row 7 or is cut at row 50,
+# or the two-row blocks of n = 400
 _SHARED_MIN_ROWS = 8
 
 

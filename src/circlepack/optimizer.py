@@ -13,7 +13,7 @@ pair; local mode restricts both to neighbor lists rebuilt every
 the listed terms instead of quadratic in n. At the sizes the searches run,
 n of a few tens, a step costs numpy calls more than arithmetic, which is
 why the line search hands its trial steps to the energy kernel in chunks,
-the first reaching just past the depth the previous search accepted at
+the first reaching down to the depth the previous search accepted at
 (see ``line_search``), and why the trial that accepts a step hands back its
 overlap depths: the gradient at the new iterate is scattered from them
 instead of gathered and measured again (see ``bfgs_minimize``).
@@ -57,36 +57,12 @@ MAX_HALVINGS = 50
 CURVATURE_FLOOR = 1e-12
 
 # the backtracking step lengths 1, 1/2, ..., 2**-MAX_HALVINGS (exact powers
-# of two) and the bounds of the chunks the line search hands to the trial
-# kernel: 1, 2, 4, 8, 16 and the remaining 20 steps
+# of two)
 _STEPS = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))
 _STEPS.setflags(write=False)
 # the sufficient-decrease factors ARMIJO_SLOPE * lam of those steps
 _ARMIJO_STEPS = ARMIJO_SLOPE * _STEPS
 _ARMIJO_STEPS.setflags(write=False)
-_CHUNK_STARTS = (0, 1, 3, 7, 15, 31, MAX_HALVINGS + 1)
-
-# once the previous search of a descent accepted at this many halvings or
-# more, the next one hands the kernel the steps from the unit step to
-# _DEEP_REACH halvings past that depth as its first chunk: in the stalled
-# tails of perfbench's hit-bestknown, 93-98% of the searches after one
-# that accepted at 16 halvings or more accept within two halvings of it.
-# Start depths 2, 3, 6 and 8 and reaches 1 and 3 were no faster there
-_DEEP_START = 4
-_DEEP_REACH = 2
-
-
-def _chunk_bounds(depth: int) -> tuple[int, ...]:
-    """Bounds of the chunks a search walks after one that accepted at
-    ``depth`` halvings; a first bound of 1 means the unit step goes first,
-    as a one-step call."""
-    if depth < _DEEP_START:
-        return _CHUNK_STARTS[1:]
-    stop = min(depth + _DEEP_REACH + 1, MAX_HALVINGS + 1)
-    return (0, stop) + tuple(b for b in _CHUNK_STARTS if b > stop)
-
-
-_CHUNK_BOUNDS = tuple(_chunk_bounds(depth) for depth in range(MAX_HALVINGS + 1))
 
 # the inverse-Hessian update works on blocks of rows of about this many
 # elements, so its two scratch buffers (256 KiB each) stay in cache; any
@@ -202,33 +178,33 @@ def line_search(
     first whose value is at most its limit, and returns ``(k, value,
     depths)``, where ``depths`` may be None (the caller then evaluates the
     accepted point afresh). ``depth`` only sets how the steps are handed
-    to it; the caller passes the halvings its previous search accepted.
-    Below _DEEP_START the unit step goes first as a one-step call of two
-    floats, the others in chunks of 2, 4, 8, 16 and the last 20
-    (``_CHUNK_STARTS``), each chunk as many steps as all before it, so
-    such a search computes fewer than twice the trial points the
-    one-step-at-a-time search would. From _DEEP_START on the first chunk
-    runs from the unit step to _DEEP_REACH halvings past ``depth`` and the
-    later ones end on the same bounds: a search that accepts near the
-    previous depth makes one kernel call, and one that accepts early
-    computes the rows up to that first chunk's end. Either way the
-    accepted step, its value and its halvings are those of the
-    one-step-at-a-time search, bit for bit.
+    to it; the caller passes the halvings its previous search accepted at.
+    The first call takes the steps from the unit step down to that depth,
+    rows 0 to ``depth``, and each later call runs from where the last one
+    ended to twice that bound plus one (at most row 50), one step more than
+    all the calls before it. A one-step call goes as two floats, so after
+    depth 0 the unit step goes alone and the later calls take rows 1-2,
+    3-6, 7-14, 15-30 and 31-50. A search that accepts at or before the
+    previous depth makes one kernel call; one that accepts past it
+    computes fewer than twice the trial points the one-step-at-a-time
+    search would. Either way the accepted step, its value and its halvings
+    are those of the one-step-at-a-time search, bit for bit.
     """
     if slope >= 0.0:
         return 0.0, u0, None, 0
-    bounds = _CHUNK_BOUNDS[depth]
-    if bounds[0] == 1:
-        # the unit step's limit, with the bits of u0 + _ARMIJO_STEPS[0] * slope
-        k, value, depths = eval_fn(x, d, 1.0, u0 + ARMIJO_SLOPE * slope)
-        if k == 0:
-            return (*_refine(eval_fn, x, d, u0, slope, 1.0, value, depths), 0)
-    limits = u0 + _ARMIJO_STEPS * slope
-    for start, stop in zip(bounds, bounds[1:]):
-        k, value, depths = eval_fn(x, d, _STEPS[start:stop], limits[start:stop])
+    start, stop = 0, depth + 1
+    while start <= MAX_HALVINGS:
+        if stop - start == 1:
+            # a one-step chunk goes as two floats; the unit step's limit has
+            # the bits of u0 + ARMIJO_SLOPE * slope
+            steps, limits = float(_STEPS[start]), u0 + float(_ARMIJO_STEPS[start]) * slope
+        else:
+            steps, limits = _STEPS[start:stop], u0 + _ARMIJO_STEPS[start:stop] * slope
+        k, value, depths = eval_fn(x, d, steps, limits)
         if k < stop - start:
             lam = float(_STEPS[start + k])
             return (*_refine(eval_fn, x, d, u0, slope, lam, value, depths), start + k)
+        start, stop = stop, min(2 * stop + 1, MAX_HALVINGS + 1)
     return 0.0, u0, None, 0
 
 

@@ -110,22 +110,48 @@ def test_solve_descents_take_no_solver_settings(monkeypatch, capsys):
             assert flag[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["solve", "improve"])
-def test_out_and_svg_naming_one_file_is_a_usage_error(command, monkeypatch, tmp_path, capsys):
-    # the svg used to be written over the layout just written, with exit 0;
-    # the paths are compared before the search starts, so no run is lost
+@pytest.mark.parametrize(
+    "command, first, second",
+    [
+        ("solve", "--out", "--svg"),
+        ("improve", "--out", "--svg"),
+        ("solve", "--best-known", "--out"),
+        ("solve", "--best-known", "--svg"),
+        ("improve", "--best-known", "--out"),
+        ("improve", "--best-known", "--svg"),
+        ("bench", "--best-known", "--out"),
+    ],
+    ids=[
+        "solve", "improve", "solve-table-out", "solve-table-svg", "improve-table-out",
+        "improve-table-svg", "bench-table-out",
+    ],
+)
+def test_out_and_svg_naming_one_file_is_a_usage_error(
+    command, first, second, monkeypatch, tmp_path, capsys
+):
+    # the svg used to be written over the layout just written, and an
+    # output named like the --best-known table over the table, each with
+    # exit 0; the paths are compared before the search starts, so no run
+    # is lost and the file keeps its bytes
     def no_search(*args, **kwargs):
         raise AssertionError("the search started")
 
     monkeypatch.setattr(cp.cli, "global_search", no_search)
     monkeypatch.setattr(cp.cli, "minimize_radius", no_search)
+    monkeypatch.setattr(cp.bench, "run_hits", no_search)
     # one path absolute, the other relative: they are compared resolved
     monkeypatch.chdir(tmp_path)
-    out = tmp_path / "two.txt"
-    code = main([command, "--n", "2", "--radius", "2", "--out", str(out), "--svg", "two.txt"])
+    path = tmp_path / "two.txt"
+    if first == "--best-known":
+        path.write_text("n,radius\n2,2.0\n", encoding="utf-8")
+        argv = [command, "--n", "2", "--max-restarts", "1"]
+    else:
+        argv = [command, "--n", "2", "--radius", "2"]
+    before = path.read_bytes() if path.exists() else None
+    code = main([*argv, first, str(path), second, "two.txt"])
     assert code == EXIT_USAGE
     assert "same file" in capsys.readouterr().err
-    assert not out.exists()
+    assert (path.read_bytes() if path.exists() else None) == before
 
 
 def test_solve_missing_table_entry(table_csv):

@@ -219,8 +219,43 @@ def trap(n, accept_row):
     return grid.reshape(-1), d.reshape(-1), radius, neighbors.full_index(n)
 
 
+# the (start, stop) rows of every kernel call of a search that never
+# passes, by the depth the previous search accepted at: the first call
+# runs down to that depth, each later one to twice its start plus one
+FAILING_SEARCH_CALLS = {
+    0: [(0, 1), (1, 3), (3, 7), (7, 15), (15, 31), (31, 51)],
+    1: [(0, 2), (2, 5), (5, 11), (11, 23), (23, 47), (47, 51)],
+    4: [(0, 5), (5, 11), (11, 23), (23, 47), (47, 51)],
+    30: [(0, 31), (31, 51)],
+    49: [(0, 50), (50, 51)],
+    50: [(0, 51)],
+}
+
+
+@pytest.mark.parametrize("depth", sorted(FAILING_SEARCH_CALLS))
+def test_line_search_kernel_calls_of_a_failing_search(depth):
+    # a one-step call goes as two floats, the others as arrays, and every
+    # row's limit has the bits of the one-step-at-a-time search's
+    u0, slope = 0.75, -3.0
+    calls = []
+
+    def never_passes(x, d, steps, limits):
+        one_step = isinstance(steps, float)
+        steps, limits = np.atleast_1d(steps), np.atleast_1d(limits)
+        rows = [-int(np.log2(lam)) for lam in steps]
+        assert rows == list(range(rows[0], rows[0] + len(rows)))
+        want = [u0 + optimizer.ARMIJO_SLOPE * lam * slope for lam in steps]
+        assert same_bits(limits, want)
+        calls.append((rows[0], rows[-1] + 1, one_step))
+        return len(steps), 1.0, None
+
+    x, d = np.zeros(2), np.ones(2)
+    assert line_search(never_passes, x, d, u0, slope, depth) == (0.0, u0, None, 0)
+    assert calls == [(a, b, b - a == 1) for a, b in FAILING_SEARCH_CALLS[depth]]
+
+
 # where the first chunk of a search started at a previous depth ends,
-# relative to the accepting row: rows 0 to depth + _DEEP_REACH
+# relative to the accepting row: it holds rows 0 to depth
 FIRST_CHUNK_ENDS = {"shallow": None, "before": -1, "at": 0, "after": 1, "far-after": 9}
 
 
@@ -231,19 +266,18 @@ def start_depth(accept_row, end):
     if FIRST_CHUNK_ENDS[end] is None:
         return 0
     row = 30 if accept_row is None else accept_row
-    depth = row + FIRST_CHUNK_ENDS[end] - optimizer._DEEP_REACH
-    return min(max(depth, 0), optimizer.MAX_HALVINGS)
+    return min(max(row + FIRST_CHUNK_ENDS[end], 0), optimizer.MAX_HALVINGS)
 
 
 @pytest.mark.parametrize("n", [2, 40], ids=["two-circles", "cap-binds"])
 @pytest.mark.parametrize("accept_row", [0, 1, 2, 3, 6, 7, 14, 15, 30, 31, 50, None])
 def test_line_search_chunk_boundaries(n, accept_row):
     # rows 0, 1-2, 3-6, 7-14, 15-30 and 31-50 are the chunks of a shallow
-    # start; a deep one first hands the kernel rows 0 to depth + 2, then
-    # the rest of those chunks past it. None never passes (u0 = 0 puts
-    # every limit below zero) and costs all 51 trials. At n = 40 every pair
-    # is listed: 820 terms make four-row blocks, so the chunks of 8 steps
-    # and more are split
+    # start; a deeper one first hands the kernel rows 0 to depth, then
+    # chunks that double. None never passes (u0 = 0 puts every limit below
+    # zero) and costs all 51 trials. At n = 40 every pair is listed: 820
+    # terms make four-row blocks, so the chunks of 8 steps and more are
+    # split
     x, d, radius, index = trap(n, 0 if accept_row is None else accept_row)
     if n == 40:
         assert neighbors._TRIAL_ELEMENTS // (index.pair_i.size + index.container_ids.size) < 8
@@ -254,32 +288,34 @@ def test_line_search_chunk_boundaries(n, accept_row):
         assert same_bits(got, want), end
         if accept_row is None:
             assert got == (0.0, 0.0, optimizer.MAX_HALVINGS + 1, 0)
-        else:
-            assert got == (2.0**-accept_row, 0.0, accept_row + 1, accept_row)
-        # a deep start settles the search in one kernel call when its first
-        # chunk reaches the accepting row, and in two when it ends just
-        # before (the polish tries no candidate on this line)
-        if accept_row is not None and depth >= optimizer._DEEP_START:
-            assert calls == (2 if end == "before" else 1), end
+            continue
+        assert got == (2.0**-accept_row, 0.0, accept_row + 1, accept_row)
+        # a search settles in one kernel call when its first chunk reaches
+        # the accepting row, and in two when it ends just before (the
+        # polish tries no candidate on this line)
+        if depth >= accept_row:
+            assert calls == 1, end
+        elif end == "before":
+            assert calls == 2, end
 
 
 @pytest.mark.parametrize("n", [2, 40], ids=["two-circles", "cap-binds"])
 @pytest.mark.parametrize("accept_row", [0, 1, 2, 3, 6, 7, 14, 15, 30, 31, 50, None])
 def test_index_energy_hands_back_the_accepted_rows_depths(n, accept_row):
-    # the trial kernel is called as line_search calls it: row 0 alone as a
-    # one-step call, the others in the chunk that holds them. Limits of -1
-    # reject every row before accept_row and +inf accepts it (None rejects
-    # them all). Circles 0 and 1 overlap, and circle 0 crosses the wall, so
-    # the depth arrays have active entries; at n = 40 every pair is listed
-    # and the chunks of 8, 16 and 20 steps are split into four-row blocks
+    # the trial kernel is called as line_search calls it after depth 0:
+    # row 0 alone as a one-step call, the others in the chunk that holds
+    # them. Limits of -1 reject every row before accept_row and +inf
+    # accepts it (None rejects them all). Circles 0 and 1 overlap, and
+    # circle 0 crosses the wall, so the depth arrays have active entries;
+    # at n = 40 every pair is listed and the chunks of 8, 16 and 20 steps
+    # are split into four-row blocks
     row = 0 if accept_row is None else accept_row
     radius = 1.0 + math.sqrt(n / 1.2)
     x = random_layout(n, radius, Rng(row)).coords()
     x[:4] = (radius - 0.5, 0.0, radius - 2.0, 0.3)
     d = 0.01 * np.random.default_rng(row).uniform(-1.0, 1.0, size=x.size)
     index = neighbors.full_index(n)
-    stop = next(s for s in optimizer._CHUNK_STARTS if s > row)
-    start = optimizer._CHUNK_STARTS[optimizer._CHUNK_STARTS.index(stop) - 1]
+    start, stop = next(chunk for chunk in FAILING_SEARCH_CALLS[0] if row < chunk[1])
     rows = np.arange(start, stop)
     limits = np.where(rows == accept_row, math.inf, -1.0)
     if start == 0:
@@ -661,12 +697,11 @@ def test_search_matches_sequential_line_search(monkeypatch):
 
 
 def test_deep_start_changes_only_the_kernel_calls(monkeypatch):
-    # a descent at the best-known radius of n = 12 jams: 94 of its 149
-    # line searches follow one that accepted at _DEEP_START halvings or
-    # more. Handing every search depth 0 instead must give the same steps
-    # and outcome, bit for bit; a search after a deep one that accepts
-    # within _DEEP_REACH halvings past that depth makes one kernel call
-    # before its polish, and most do
+    # a descent at the best-known radius of n = 12 jams: 133 of its 149
+    # line searches accept at or before the halvings the previous one
+    # accepted at, and each of those makes one kernel call before its
+    # polish. Handing every search depth 0 instead must give the same
+    # steps and outcome, bit for bit
     real = optimizer.line_search
     searches = []
 
@@ -680,7 +715,7 @@ def test_deep_start_changes_only_the_kernel_calls(monkeypatch):
             return eval_fn(origin, direction, steps, limits)
 
         found = real(kernel, x, d, u0, slope, depth)
-        searches.append((depth, found[3], calls))
+        searches.append((depth, found[3] if found[0] > 0.0 else None, calls))
         return found
 
     def run():
@@ -698,11 +733,9 @@ def test_deep_start_changes_only_the_kernel_calls(monkeypatch):
         want.status, want.iterations, want.evaluations, want.energy
     )
     assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
-    after_deep = [s for s in searches if s[0] >= optimizer._DEEP_START]
-    near = [calls for depth, halvings, calls in after_deep if halvings <= depth + optimizer._DEEP_REACH]
-    assert len(after_deep) >= 50
+    near = [calls for depth, halvings, calls in searches if halvings is not None and halvings <= depth]
     assert near == [1] * len(near)
-    assert len(near) >= 0.9 * len(after_deep)
+    assert (len(near), len(searches)) == (133, 149)
 
 
 def record_calls(monkeypatch, name):
