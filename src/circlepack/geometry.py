@@ -332,19 +332,6 @@ def scatter_gradient(
     return grad
 
 
-def evaluate_pairs(
-    centers: np.ndarray,
-    radius: float,
-    pair_i: np.ndarray,
-    pair_j: np.ndarray,
-    container_ids: np.ndarray,
-) -> Energy:
-    """Energy of ``centers``, shape (n, 2), restricted to the given circle
-    pairs and container candidates: the ``Energy`` of ``listed_depths``,
-    whose gradient ``neighbors.gradient_eval`` adds."""
-    return listed_depths(centers, radius, pair_i, pair_j, container_ids).energy()
-
-
 def total_energy(layout: Layout) -> Energy:
     """Total elastic energy of a layout over all pairs and container terms.
 
@@ -353,7 +340,8 @@ def total_energy(layout: Layout) -> Energy:
     zero and change neither the sum nor the maxima.
     """
     pair_i, pair_j = candidate_pairs(layout.centers, 2.0)
-    return evaluate_pairs(layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n))
+    depths = listed_depths(layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n))
+    return depths.energy()
 
 
 def is_feasible(layout: Layout) -> bool:

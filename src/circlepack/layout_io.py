@@ -219,6 +219,9 @@ def parse_document(text: str, origin: str = "<string>") -> LayoutDocument:
             seed = int(header["seed"])
         except ValueError:
             raise LayoutFormatError(f"{origin}: bad seed {header['seed']!r}") from None
+        # Rng takes no negative seed, so such a file could not reproduce its run
+        if seed < 0:
+            raise LayoutFormatError(f"{origin}: bad seed {header['seed']!r}")
     if len(coords) != n:
         raise LayoutFormatError(
             f"{origin}: header says n={n} but found {len(coords)} coordinate lines"
@@ -250,8 +253,11 @@ class BestKnownTable:
         previous = None
         for n in ns:
             radius = self.entries[n]
-            if radius < 1.0:
-                raise TableValidationError(f"radius for n={n} is below 1: {radius}")
+            # the rules of read_best_known, written so that NaN fails too
+            if not n >= 1:
+                raise TableValidationError(f"n must be >= 1, got {n}")
+            if not 1.0 <= radius < math.inf:
+                raise TableValidationError(f"radius for n={n} is not finite or below 1: {radius}")
             if previous is not None and radius <= previous:
                 raise TableValidationError(
                     f"radii must strictly increase with n; "

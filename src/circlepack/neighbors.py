@@ -104,8 +104,8 @@ def index_energy(
     walked in order up to the first one whose energy is at most
     ``limits[k]``; returns ``(k, energy of row k, depths of row k)``, or
     ``(len(steps), energy of the last row, None)`` when no row qualifies,
-    where len(steps) is 1 for a one-step call. ``geometry.scatter_gradient``
-    takes the accepted point's gradient from its depths.
+    where len(steps) is 1 for a one-step call. ``gradient_eval`` takes the
+    accepted point's gradient from its depths.
 
     Every row's energy and depths have the bits ``geometry.listed_depths``
     gives at that one point. A one-step call runs it. Otherwise a block of
@@ -189,24 +189,29 @@ def gradient_eval(
     radius: float,
     index: NeighborIndex,
     rng: Rng | None = None,
+    depths: Depths | None = None,
 ):
-    """Energy and analytic gradient over the index's listed terms.
+    """Depths and analytic gradient over the index's listed terms.
 
-    Returns ``(energy, grad, centers)``: the ``Energy`` of the listed terms
-    (that of ``geometry.evaluate_pairs``) and ``grad`` of shape (n, 2),
-    which ``geometry.scatter_gradient`` takes from the same depths.
-    Coincident centers make the pair gradient direction undefined; in that
-    case one member is nudged by 1e-8 in a random direction and the
-    evaluation reruns on the nudged copy, which is returned so callers can
+    Returns ``(depths, grad, centers)``: the ``Depths`` of the listed terms
+    at ``centers`` and ``grad`` of shape (n, 2), which
+    ``geometry.scatter_gradient`` takes from them. ``depths`` are those the
+    caller already holds for ``centers`` on this index (the trial kernel's
+    accepted row); ``geometry.listed_depths`` measures the point only when
+    none are given. Coincident centers make the pair gradient direction
+    undefined; in that case one member is nudged by 1e-8 in a random
+    direction and the nudged copy is measured and returned, so callers can
     adopt it.
     """
     pair_i, pair_j, container_ids = index.pair_i, index.pair_j, index.container_ids
     while True:
-        depths = listed_depths(centers, radius, pair_i, pair_j, container_ids)
+        if depths is None:
+            depths = listed_depths(centers, radius, pair_i, pair_j, container_ids)
         grad = scatter_gradient(depths, pair_i, pair_j, container_ids, centers.shape[0])
         if grad is not None:
-            return depths.energy(), grad, centers
+            return depths, grad, centers
         centers = _nudge_coincident(centers, depths.dist, pair_j, rng)
+        depths = None
 
 
 def _nudge_coincident(centers, dist, pair_j, rng: Rng | None):
@@ -227,5 +232,5 @@ def energy_gradient_full(layout: Layout, rng: Rng | None = None) -> tuple[Energy
     The gradient comes back flattened as (dU/dx1, dU/dy1, ..., dU/dxn,
     dU/dyn). Terms with zero depth contribute exactly zero.
     """
-    energy, grad, _ = gradient_eval(layout.centers, layout.radius, full_index(layout.n), rng)
-    return energy, grad.reshape(-1)
+    depths, grad, _ = gradient_eval(layout.centers, layout.radius, full_index(layout.n), rng)
+    return depths.energy(), grad.reshape(-1)

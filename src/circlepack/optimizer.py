@@ -15,8 +15,9 @@ n of a few tens, a step costs numpy calls more than arithmetic, which is
 why the line search hands its trial steps to the energy kernel in chunks,
 the first reaching down to the depth the previous search accepted at
 (see ``line_search``), and why the trial that accepts a step hands back its
-overlap depths: the gradient at the new iterate is scattered from them
-instead of gathered and measured again (see ``bfgs_minimize``).
+overlap depths: ``gradient_eval``, the one place a descent gets a gradient,
+scatters the gradient at the new iterate from them instead of gathering
+and measuring the point again (see ``bfgs_minimize``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .geometry import (
     Energy,
     Layout,
     Rng,
-    scatter_gradient,
     total_energy,
 )
 from .neighbors import (
@@ -143,8 +143,8 @@ class OptimizeOutcome:
     ``status`` is FEASIBLE only when that exact total is below the
     feasibility threshold. ``evaluations`` counts evaluations against the
     active index: each trial point of the one-step-at-a-time line search,
-    and one per gradient, whether scattered from the accepted trial's
-    depths or evaluated afresh.
+    and one per ``gradient_eval`` call, whether it takes the accepted
+    trial's depths or measures the point afresh.
     """
 
     layout: Layout
@@ -370,12 +370,13 @@ def bfgs_minimize(
 
     Each line search is handed the halvings the previous one accepted at
     (0 at the start and after a failed search), which sets only how its
-    trials are chunked. Each accepted step takes its energy and gradient
-    from the depths of the line-search trial that accepted it, with the
-    bits a fresh evaluation would give. ``gradient_eval`` runs only at the
-    start, after a rebuild, where the trial kernel hands back no depths,
-    and where two listed centres of the accepted point coincide (it nudges
-    them).
+    trials are chunked. Every energy and gradient the descent steps on
+    comes from ``gradient_eval``: at the start, after a rebuild and after
+    each accepted step. A step hands it the depths of the line-search
+    trial that accepted it, which give the bits a fresh evaluation would,
+    so the point is not measured again; after a rebuild, or from a kernel
+    that keeps no depths, it measures the point itself. Either way it
+    nudges coincident centres.
 
     Up to ``DENSE_MAX_CIRCLES`` circles the search direction comes from a
     dense inverse Hessian, above it from limited-memory BFGS; a
@@ -406,11 +407,11 @@ def bfgs_minimize(
         index = _build_index_raw(vec.reshape(n, 2), r, container_margin, pair_margin)
         age = 0
 
-    def evaluate(vec):
+    def evaluate(vec, depths=None):
         nonlocal evaluations
         evaluations += 1
-        energy, grad, centers = gradient_eval(vec.reshape(n, 2), r, index, rng)
-        return energy.total, centers.reshape(-1), grad.reshape(-1)
+        depths, grad, centers = gradient_eval(vec.reshape(n, 2), r, index, rng, depths)
+        return depths.total, centers.reshape(-1), grad.reshape(-1)
 
     def trial_energy(origin, d, steps, limits):
         nonlocal evaluations
@@ -493,19 +494,10 @@ def bfgs_minimize(
 
         energy_before = total
         # the accepted trial's depths give its gradient on the index they
-        # were taken on; a rebuilt index, a kernel that kept no depths and
-        # coincident centres (which gradient_eval nudges) evaluate afresh
-        grad = None
-        if depths is not None:
-            grad = scatter_gradient(depths, index.pair_i, index.pair_j, index.container_ids, n)
-        # free the trial block behind the depths before the next step
-        # allocates its own
+        # were taken on; after a rebuild the point is measured afresh
+        total, x_new, g_new = evaluate(x_new, depths)
+        # free the trial block behind the depths before the next step's
         depths = None
-        if grad is None:
-            total, x_new, g_new = evaluate(x_new)
-        else:
-            evaluations += 1
-            total, g_new = accepted, grad.reshape(-1)
         if memory is None:
             state.inv_hessian = update_inverse_hessian(state.inv_hessian, x_new - x, g_new - g)
         else:

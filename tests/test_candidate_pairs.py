@@ -19,7 +19,7 @@ from circlepack.geometry import (
     Layout,
     all_pair_indices,
     candidate_pairs,
-    evaluate_pairs,
+    listed_depths,
     total_energy,
 )
 from circlepack.neighbors import NeighborIndex, _build_index_raw
@@ -43,7 +43,8 @@ def build_index_by_all_pairs(centers, radius, container_margin, pair_margin):
 def total_energy_by_all_pairs(layout):
     """Reference: the energy kernel over every pair and wall term."""
     pair_i, pair_j = all_pair_indices(layout.n)
-    return evaluate_pairs(layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n))
+    depths = listed_depths(layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n))
+    return depths.energy()
 
 
 def energy_bits(energy):

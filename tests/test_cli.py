@@ -218,6 +218,8 @@ def test_verify_malformed_file(tmp_path, capsys):
     for text in (
         "n=0\nradius=2.0\nenergy=0.0\nfeasible=true\n",
         "n=1\nradius=nan\nenergy=0.0\nfeasible=true\n0 0\n",
+        # a negative seed cannot reproduce the run that wrote the file
+        "n=1\nradius=2.0\nenergy=0.0\nfeasible=true\nseed=-5\n0 0\n",
     ):
         path.write_text(text, encoding="utf-8")
         assert main(["verify", str(path)]) == EXIT_BAD_FILE

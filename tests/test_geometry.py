@@ -12,7 +12,6 @@ from circlepack.geometry import (
     Rng,
     all_pair_indices,
     container_depth,
-    evaluate_pairs,
     is_feasible,
     listed_depths,
     pair_depth,
@@ -171,7 +170,7 @@ NO_TERMS = np.array([], dtype=np.intp)
     ],
     ids=["no-pairs", "no-walls", "n=1-neither"],
 )
-def test_evaluate_pairs_empty_term_lists_are_positive_zero(
+def test_listed_depths_empty_term_lists_are_positive_zero(
     centers, radius, listed_pairs, listed_walls
 ):
     # every unlisted term would be active; the listed ones are not, so the
@@ -180,9 +179,9 @@ def test_evaluate_pairs_empty_term_lists_are_positive_zero(
     n = centers.shape[0]
     pair_i, pair_j = all_pair_indices(n) if listed_pairs else (NO_TERMS, NO_TERMS)
     walls = np.arange(n) if listed_walls else NO_TERMS
-    energy = evaluate_pairs(centers, radius, pair_i, pair_j, walls)
-    with_grad, grad, _ = gradient_eval(centers, radius, NeighborIndex(pair_i, pair_j, walls))
-    assert energy == with_grad == Energy(0.0, 0.0, 0.0)
+    energy = listed_depths(centers, radius, pair_i, pair_j, walls).energy()
+    depths, grad, _ = gradient_eval(centers, radius, NeighborIndex(pair_i, pair_j, walls))
+    assert energy == depths.energy() == Energy(0.0, 0.0, 0.0)
     for value in (energy.total, energy.max_pair_depth, energy.max_container_depth):
         assert math.copysign(1.0, value) == 1.0
     assert grad.shape == (n, 2)

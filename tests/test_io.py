@@ -122,6 +122,9 @@ def test_recorded_energy_matches_recomputation():
         ("n=1\nradius=-1\nenergy=0.0\nfeasible=true\n0 0\n", "bad radius"),
         ("n=1\nradius=2.0\nenergy=nan\nfeasible=true\n0 0\n", "bad energy"),
         ("n=1\nradius=2.0\nenergy=-inf\nfeasible=true\n0 0\n", "bad energy"),
+        ("n=1\nradius=2.0\nenergy=0.0\nfeasible=true\nseed=x\n0 0\n", "bad seed"),
+        # Rng takes no negative seed, so the run could not be reproduced
+        ("n=1\nradius=2.0\nenergy=0.0\nfeasible=true\nseed=-5\n0 0\n", "bad seed '-5'"),
     ],
 )
 def test_parse_document_rejects_malformed(text, message):
@@ -177,6 +180,23 @@ def test_read_best_known_rejects_bad_rows():
 def test_read_best_known_rejects_small_radius():
     with pytest.raises(TableValidationError, match="below 1"):
         table_of("n,radius\n1,0.5\n")
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({2: math.nan}, "n=2 is not finite or below 1"),
+        ({2: math.inf}, "n=2 is not finite or below 1"),
+        ({2: 0.5}, "n=2 is not finite or below 1"),
+        ({0: 1.5}, "n must be >= 1, got 0"),
+        ({-3: 2.0}, "n must be >= 1, got -3"),
+    ],
+    ids=["nan", "inf", "small", "n=0", "n=-3"],
+)
+def test_best_known_table_applies_the_reader_rules(entries, message):
+    # a table built directly keeps the rules read_best_known applies
+    with pytest.raises(TableValidationError, match=message):
+        cp.BestKnownTable(entries)
 
 
 def test_bundled_best_known_table():

@@ -11,7 +11,6 @@ from circlepack.geometry import (
     FEASIBLE_ENERGY,
     Layout,
     Rng,
-    evaluate_pairs,
     is_feasible,
     listed_depths,
     random_layout,
@@ -54,10 +53,10 @@ def kernel_of(fn, evaluated=None):
 
 
 def listed_energy(radius, index):
-    """The index's energy at one flat point, as ``evaluate_pairs`` gives it."""
+    """The index's energy at one flat point, as ``listed_depths`` gives it."""
 
     def energy(point):
-        return evaluate_pairs(
+        return listed_depths(
             point.reshape(-1, 2), radius, index.pair_i, index.pair_j, index.container_ids
         ).total
 
@@ -65,7 +64,7 @@ def listed_energy(radius, index):
 
 
 def reference_index_energy(x, d, steps, limits, radius, index):
-    """Reference: the trial kernel as one ``evaluate_pairs`` call per step,
+    """Reference: the trial kernel as one ``listed_depths`` call per step,
     which is what the optimizer ran for every trial before the chunks."""
     return kernel_of(listed_energy(radius, index))(x, d, steps, limits)
 
@@ -738,60 +737,136 @@ def test_deep_start_changes_only_the_kernel_calls(monkeypatch):
     assert (len(near), len(searches)) == (133, 149)
 
 
-def record_calls(monkeypatch, name):
-    """Replace ``optimizer.<name>`` by a wrapper; returns the list of the
+def record_calls(monkeypatch, name, module=optimizer):
+    """Replace ``module.<name>`` by a wrapper; returns the list of the
     results of its calls."""
     results = []
-    real = getattr(optimizer, name)
+    real = getattr(module, name)
 
     def recorded(*args, **kwargs):
         results.append(real(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(optimizer, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return results
 
 
+def record_gradients(monkeypatch):
+    """Wrap ``optimizer.gradient_eval``; returns one entry per call: the id
+    of the ``depths`` it was handed (None for none) and how many
+    ``listed_depths`` runs it made. Ids only, so no trial block is kept
+    alive."""
+    calls = []
+    real = optimizer.gradient_eval
+    real_listed = neighbors.listed_depths
+    inside = False
+
+    def listed(*args):
+        if inside:
+            calls[-1][1] += 1
+        return real_listed(*args)
+
+    def recorded(centers, radius, index, rng=None, depths=None):
+        nonlocal inside
+        calls.append([None if depths is None else id(depths), 0])
+        inside = True
+        try:
+            return real(centers, radius, index, rng, depths)
+        finally:
+            inside = False
+
+    monkeypatch.setattr(neighbors, "listed_depths", listed)
+    monkeypatch.setattr(optimizer, "gradient_eval", recorded)
+    return calls
+
+
+def rebuilding_steps(layout, **options):
+    """Run a descent; returns its outcome and how many of its accepted
+    steps rebuilt the index (each step that brings the index to
+    ``REFRESH_PERIOD`` accepted steps does)."""
+    ages = []
+    outcome = bfgs_minimize(
+        layout, callback=lambda state, rec: ages.append(rec.index_age), **options
+    )
+    return outcome, ages.count(optimizer.REFRESH_PERIOD - 1)
+
+
 def test_accepted_trials_supply_the_gradients(monkeypatch):
-    # a gradient is evaluated afresh only where no trial on the current
-    # index exists: at the start and after each rebuild. Full mode never
-    # rebuilds
+    # every gradient goes through gradient_eval: one call per accepted
+    # step, plus one fresh evaluation at the start and after each rebuild
+    # the convergence test asks for. A point is measured afresh only where
+    # no trial on the current index exists: at the start and after each
+    # rebuild. Full mode never rebuilds
     n = 60
     layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(0))
-    gradients = record_calls(monkeypatch, "gradient_eval")
+    gradients = record_gradients(monkeypatch)
     builds = record_calls(monkeypatch, "_build_index_raw")
-    local = bfgs_minimize(layout, mode="local", rng=Rng(0))
+    local, step_rebuilds = rebuilding_steps(layout, mode="local", rng=Rng(0))
     rebuilds = len(builds) - 1
-    assert local.iterations > 2 * optimizer.REFRESH_PERIOD and rebuilds >= 2
-    assert len(gradients) == 1 + rebuilds
+    assert local.iterations > 2 * optimizer.REFRESH_PERIOD and step_rebuilds >= 2
+    assert len(gradients) == local.iterations + 1 + rebuilds - step_rebuilds
+    fresh = [listed for handed, listed in gradients if handed is None]
+    assert fresh == [1] * (1 + rebuilds)
+    assert all(listed == 0 for handed, listed in gradients if handed is not None)
     gradients.clear()
-    full = bfgs_minimize(layout, mode="full", rng=Rng(0))
-    assert full.iterations > 2 * optimizer.REFRESH_PERIOD
-    assert len(gradients) == 1
+    full, step_rebuilds = rebuilding_steps(layout, mode="full", rng=Rng(0))
+    assert full.iterations > 2 * optimizer.REFRESH_PERIOD and step_rebuilds == 0
+    assert len(gradients) == full.iterations + 1
+    assert [listed for _, listed in gradients] == [1] + [0] * full.iterations
+
+
+@pytest.mark.parametrize("mode", ["local", "full"])
+def test_accepted_step_hands_over_the_kernel_depths(monkeypatch, mode):
+    # the Depths object the trial kernel returned for the accepted point
+    # reaches gradient_eval itself, not a copy; only a step that rebuilt
+    # the index hands over None. Each step's kernel results and searches
+    # are kept until its callback, so their ids stay unique
+    n = 60
+    layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(0))
+    kernel = record_calls(monkeypatch, "index_energy")
+    searches = record_calls(monkeypatch, "line_search")
+    gradients = record_gradients(monkeypatch)
+    steps = []
+
+    def record(state, rec):
+        # the last gradient_eval call is this step's, the last successful
+        # search the one that accepted it
+        accepted = [found for found in searches if found[0] > 0.0][-1][2]
+        assert any(found[2] is accepted for found in kernel)
+        rebuilt = mode == "local" and rec.index_age == optimizer.REFRESH_PERIOD - 1
+        assert gradients[-1][0] == (None if rebuilt else id(accepted))
+        steps.append(rebuilt)
+        kernel.clear()
+        searches.clear()
+
+    outcome = bfgs_minimize(layout, mode=mode, rng=Rng(0), callback=record)
+    assert len(steps) == outcome.iterations > 2 * optimizer.REFRESH_PERIOD
+    assert (sum(steps) >= 2) if mode == "local" else not any(steps)
 
 
 def test_coincident_accepted_point_takes_the_nudge_path(monkeypatch):
     # circles at (-8, 0) and (8, 0) each cross the wall of radius 5 by 4,
     # so the first steepest-descent direction moves each by 8 toward the
     # other, and the unit step puts both centres on the origin. The line
-    # search is made to accept that step unpolished. The accepted trial's
-    # depths then give no gradient, and gradient_eval nudges circle 1
+    # search is made to accept that step unpolished. gradient_eval takes
+    # the accepted trial's depths, which give no gradient, so it nudges
+    # circle 1 and measures the nudged point
     def unit_step(eval_fn, x, d, u0, slope, depth):
         _, value, depths = eval_fn(x, d, 1.0, math.inf)
         return 1.0, value, depths, 0
 
     layout = Layout(np.array([[-8.0, 0.0], [8.0, 0.0]]), 5.0)
     monkeypatch.setattr(optimizer, "line_search", unit_step)
-    gradients = record_calls(monkeypatch, "gradient_eval")
-    scatters = record_calls(monkeypatch, "scatter_gradient")
+    gradients = record_gradients(monkeypatch)
+    scatters = record_calls(monkeypatch, "scatter_gradient", neighbors)
     got, got_steps = descend_recorded(layout, mode="full", max_iterations=1, rng=Rng(0))
-    assert scatters == [None]
-    assert len(gradients) == 2
+    assert [grad is None for grad in scatters] == [False, True, False]
+    assert [(handed is None, listed) for handed, listed in gradients] == [(True, 1), (False, 1)]
     assert got_steps[0][1] == 8.0
     centers = np.frombuffer(got_steps[0][0]).reshape(2, 2)
     assert centers[0].tolist() == [0.0, 0.0]
     assert 0.0 < math.hypot(*centers[1]) < 2e-8
-    # a kernel that hands back no depths evaluates every step afresh
+    # a kernel that hands back no depths measures every step afresh
     monkeypatch.setattr(optimizer, "index_energy", reference_index_energy)
     want, want_steps = descend_recorded(layout, mode="full", max_iterations=1, rng=Rng(0))
     assert got_steps == want_steps
