@@ -86,6 +86,19 @@ def _refuse_same_file(*paths: str | None) -> None:
             raise UsageError(f"{first} and {second} are the same file")
 
 
+def _refuse_unwritable_output(*outputs: str | None) -> None:
+    """Exit 64 when an output's directory does not exist or the output is a
+    directory. The commands check this before any search runs, so that a
+    long run does not end in a write that fails and loses its layout."""
+    for path in outputs:
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise UsageError(f"cannot write {path}: it is a directory")
+        if not Path(path).parent.is_dir():
+            raise UsageError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def _report_lines(report) -> list[str]:
     return [
         f"status={report.status.value}",
@@ -110,6 +123,7 @@ def _write_outputs(report, args) -> None:
 
 def cmd_solve(args) -> int:
     _refuse_same_file(args.best_known, args.out, args.svg)
+    _refuse_unwritable_output(args.out, args.svg)
     radius = _resolve_radius(args, args.n)
     report = global_search(
         args.n,
@@ -126,6 +140,7 @@ def cmd_solve(args) -> int:
 
 def cmd_improve(args) -> int:
     _refuse_same_file(args.best_known, args.out, args.svg)
+    _refuse_unwritable_output(args.out, args.svg)
     start_radius = _resolve_radius(args, args.n)
     report = minimize_radius(
         args.n,
@@ -198,6 +213,7 @@ def _parse_ns(text: str) -> list[int]:
 
 def cmd_bench(args) -> int:
     _refuse_same_file(args.best_known, args.out)
+    _refuse_unwritable_output(args.out)
     ns = _parse_ns(args.n)
     if args.experiment == "hits":
         if args.radius is not None:

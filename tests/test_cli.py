@@ -154,6 +154,38 @@ def test_out_and_svg_naming_one_file_is_a_usage_error(
     assert (path.read_bytes() if path.exists() else None) == before
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("solve", "--out"), ("solve", "--svg"), ("improve", "--out"), ("improve", "--svg"),
+        ("bench", "--out"),
+    ],
+)
+@pytest.mark.parametrize("missing", ["no-directory", "directory"])
+def test_unwritable_output_is_a_usage_error_before_the_search(
+    command, flag, missing, monkeypatch, tmp_path, capsys
+):
+    # an output in a directory that does not exist, or one that is a
+    # directory, used to fail only after the whole search (exit 65, the
+    # layout lost and the svg never written)
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cp.cli, "global_search", no_search)
+    monkeypatch.setattr(cp.cli, "minimize_radius", no_search)
+    monkeypatch.setattr(cp.bench, "run_hits", no_search)
+    path = tmp_path / "missing_dir" / "x.txt" if missing == "no-directory" else tmp_path
+    argv = [command, "--n", "2", "--max-restarts", "1"]
+    if command != "bench":
+        argv += ["--radius", "2"]
+    if flag == "--svg":
+        argv += ["--out", str(tmp_path / "ok.txt")]
+    code = main([*argv, flag, str(path)])
+    assert code == EXIT_USAGE
+    assert str(path) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_missing_table_entry(table_csv):
     assert main(["solve", "--n", "99", "--best-known", table_csv]) == EXIT_USAGE
 

@@ -696,11 +696,12 @@ def test_search_matches_sequential_line_search(monkeypatch):
 
 
 def test_deep_start_changes_only_the_kernel_calls(monkeypatch):
-    # a descent at the best-known radius of n = 12 jams: 133 of its 149
+    # a descent at the best-known radius of n = 12 jams: 78 of its 94
     # line searches accept at or before the halvings the previous one
     # accepted at, and each of those makes one kernel call before its
-    # polish. Handing every search depth 0 instead must give the same
-    # steps and outcome, bit for bit
+    # polish (its other 55 steps are replayed and search nothing). Handing
+    # every search depth 0 instead must give the same steps and outcome,
+    # bit for bit
     real = optimizer.line_search
     searches = []
 
@@ -734,7 +735,168 @@ def test_deep_start_changes_only_the_kernel_calls(monkeypatch):
     assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
     near = [calls for depth, halvings, calls in searches if halvings is not None and halvings <= depth]
     assert near == [1] * len(near)
-    assert (len(near), len(searches)) == (133, 149)
+    assert (len(near), len(searches)) == (78, 94)
+
+
+def jammed_12():
+    # at the best-known radius of n = 12, Rng(0) jams: from step 93 on no
+    # step moves the iterate, and the stall window ends the run at step 149
+    return random_layout(12, cp.load_best_known().radius_for(12), Rng(0))
+
+
+def recompute_still_steps(monkeypatch, layout, descend):
+    """Run ``descend(layout, callback)`` with a callback that recomputes
+    every step whose iterate did not change: the line search on
+    ``index_energy`` over the index the step started on, from the previous
+    step's iterate and gradient and the inverse Hessian in ``state`` (a
+    step that stays put has s = 0, which the update skips), then
+    ``gradient_eval`` on the index the step ended on. Asserts that this
+    gives the step's record and the bits of ``state``. Returns the
+    descent's outcome, the records of the recomputed steps and the number
+    of line searches the descent made."""
+    radius = layout.radius
+    builds = record_calls(monkeypatch, "_build_index_raw")
+    searches = record_calls(monkeypatch, "line_search")
+    previous = {}
+    still = []
+
+    def check(state, rec):
+        x, g = state.iterate, state.gradient
+        n = x.size // 2
+        new_builds = len(builds) - previous.get("builds", 0)
+        index = builds[-1] if builds else neighbors.full_index(n)
+        if previous and x.tobytes() == previous["x"].tobytes():
+            # only a step's own rebuild, after its search, changes the index
+            assert new_builds == 0 or rec.index_age == optimizer.REFRESH_PERIOD - 1
+            start_index = previous["index"]
+            g0 = previous["g"]
+            direction = -g0 if rec.restarted else -(state.inv_hessian @ g0)
+
+            def kernel(origin, d, steps, limits):
+                return neighbors.index_energy(origin, d, steps, limits, radius, start_index)
+
+            lam, value, depths, _ = line_search(
+                kernel, previous["x"], direction, rec.energy_before, float(np.dot(g0, direction))
+            )
+            point = previous["x"] + lam * direction
+            _, grad, centers = neighbors.gradient_eval(
+                point.reshape(n, 2), radius, index, None, depths if index is start_index else None
+            )
+            assert same_bits(lam, rec.step_length)
+            assert same_bits(value, rec.energy_after)
+            assert point.tobytes() == centers.tobytes() == x.tobytes()
+            assert grad.tobytes() == g.tobytes()
+            still.append(rec)
+        previous.update(x=x.copy(), g=g.copy(), index=index, builds=len(builds))
+
+    outcome = descend(layout, check)
+    return outcome, still, len(searches)
+
+
+@pytest.mark.parametrize("mode", ["local", "full"])
+def test_replayed_stall_tail_matches_recomputed_steps(monkeypatch, mode):
+    # the frozen tail runs until the stall window ends the descent; in
+    # local mode it crosses index rebuilds, the first of which is real
+    outcome, still, searches = recompute_still_steps(
+        monkeypatch, jammed_12(),
+        lambda layout, callback: bfgs_minimize(layout, mode=mode, rng=Rng(0), callback=callback),
+    )
+    assert outcome.status is OptimizeStatus.ITERATION_LIMIT
+    # the counts of the same descent recomputing every step
+    assert (outcome.iterations, outcome.evaluations) == (149, 2543)
+    assert [rec.iteration for rec in still] == list(range(93, 150))
+    assert not any(rec.restarted for rec in still)
+    # every still step but the first is replayed, and in local mode but
+    # the one after the step that rebuilt the index for real
+    assert searches == outcome.iterations - len(still) + (2 if mode == "local" else 1)
+    rebuilding = [rec for rec in still if rec.index_age == optimizer.REFRESH_PERIOD - 1]
+    assert len(rebuilding) == (5 if mode == "local" else 0)
+
+
+def test_replayed_tail_ends_at_the_settle_cap(monkeypatch):
+    # a hop settle is run_bounded's capped descent: its budget of h steps
+    # ends the frozen tail, not the stall window
+    h = 120
+    outcomes = []
+    real = optimizer.bfgs_minimize
+
+    def descend(layout, callback):
+        def capped(*args, **kwargs):
+            outcomes.append(real(*args, callback=callback, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(optimizer, "bfgs_minimize", capped)
+        settled = run_bounded(layout, layout.radius, h, Rng(0))
+        assert settled.centers.tobytes() == outcomes[0].layout.centers.tobytes()
+        return outcomes[0]
+
+    outcome, still, searches = recompute_still_steps(monkeypatch, jammed_12(), descend)
+    # the counts of the same descent recomputing every step
+    assert (outcome.status, outcome.iterations, outcome.evaluations) == (
+        OptimizeStatus.ITERATION_LIMIT, h, 1818
+    )
+    assert [rec.iteration for rec in still] == list(range(93, h + 1))
+    # the first still step and the one after the real rebuild at step 100
+    # search; the rest are replayed
+    assert searches == h - len(still) + 2
+
+
+def test_restarted_still_step_is_not_replayed(monkeypatch):
+    # at the best-known radius of n = 9, Rng(0) jams from step 77 on. Its
+    # quasi-Newton search there is made to fail, and the steepest-descent
+    # restart stays put too; a restart resets the inverse Hessian, so the
+    # step after it searches again instead of replaying the restart
+    searches = 0
+
+    def search(eval_fn, x, d, u0, slope, depth):
+        nonlocal searches
+        searches += 1
+        if searches == 77:
+            return 0.0, u0, None, 0
+        return line_search(eval_fn, x, d, u0, slope, depth)
+
+    monkeypatch.setattr(optimizer, "line_search", search)
+    searched_by = {}
+
+    def descend(layout, callback):
+        def record(state, rec):
+            searched_by[rec.iteration] = searches
+            callback(state, rec)
+
+        return bfgs_minimize(layout, rng=Rng(0), callback=record)
+
+    layout = random_layout(9, cp.load_best_known().radius_for(9), Rng(0))
+    _, still, _ = recompute_still_steps(monkeypatch, layout, descend)
+    assert (still[0].iteration, still[0].restarted) == (77, True)
+    assert searched_by[78] == searched_by[77] + 1
+
+
+def test_rebuild_at_the_last_built_iterate_builds_nothing(monkeypatch):
+    # the index is a pure function of the iterate it is built at, so a
+    # rebuild at that iterate's bits keeps it; the jammed tail rebuilds at
+    # one iterate five times and builds once
+    built = []
+    real = optimizer._build_index_raw
+
+    def recorded(centers, *args):
+        built.append(centers.tobytes())
+        return real(centers, *args)
+
+    monkeypatch.setattr(optimizer, "_build_index_raw", recorded)
+    rebuilding = []
+    seen = [0]
+
+    def record(state, rec):
+        if rec.index_age == optimizer.REFRESH_PERIOD - 1:
+            last = built[seen[0] - 1]
+            rebuilding.append((len(built) - seen[0], state.iterate.tobytes() == last))
+        seen[0] = len(built)
+
+    outcome = bfgs_minimize(jammed_12(), rng=Rng(0), callback=record)
+    assert len(rebuilding) == outcome.iterations // optimizer.REFRESH_PERIOD
+    assert all(calls == (not same) for calls, same in rebuilding)
+    assert [same for _, same in rebuilding].count(True) == 4
+    assert len(built) == 1 + len(rebuilding) - 4
 
 
 def record_calls(monkeypatch, name, module=optimizer):
