@@ -11,7 +11,10 @@ a speed-up left every trajectory unchanged.
 The first hash covers every run. The second covers the runs with n <= 320,
 the paper's largest instance, which is every run but the n = 400 descent:
 a change confined to the solver's path above that size leaves it equal.
-Run from the root of a source checkout:
+The third covers the 114 descents and none of the ``minimize_radius``
+runs: a change confined to the searches above ``bfgs_minimize``, such as
+the container adjustment, leaves it equal. Run from the root of a source
+checkout:
 
     python scripts/trajectory_fingerprint.py
 
@@ -100,17 +103,17 @@ def descend(digests, label, layout, mode, container_margin, pair_margin) -> None
 
 
 def main() -> int:
-    every_run, paper_sizes = hashlib.sha256(), hashlib.sha256()
+    every_run, paper_sizes, descents_only = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     both = (every_run, paper_sizes)
     descents = 0
     for label, layout in descent_starts():
         for settings in SETTINGS:
-            descend(both, label, layout, *settings)
+            descend((*both, descents_only), label, layout, *settings)
             descents += 1
     for n in LARGE_SIZES:
         layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(n))
         digests = both if n <= PAPER_MAX_CIRCLES else (every_run,)
-        descend(digests, f"n={n}", layout, "local", 1.0, 1.0)
+        descend((*digests, descents_only), f"n={n}", layout, "local", 1.0, 1.0)
         descents += 1
     for n, radius, budget in RADIUS_RUNS:
         report = minimize_radius(n, radius, t0=1e6, t1=1e6, rng=Rng(n), max_restarts=budget)
@@ -119,6 +122,7 @@ def main() -> int:
     print(f"descents={descents} radius_runs={len(RADIUS_RUNS)}")
     print(f"sha256 {every_run.hexdigest()}")
     print(f"sha256 n<={PAPER_MAX_CIRCLES} {paper_sizes.hexdigest()}")
+    print(f"sha256 descents {descents_only.hexdigest()}")
     return 0
 
 

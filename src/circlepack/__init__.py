@@ -2,8 +2,9 @@
 
 The solver minimizes an elastic overlap energy with a quasi-Newton
 optimizer, escapes stuck layouts by briefly optimizing in a shrunken
-container, and squeezes feasible layouts with a probe-plus-bisection
-radius adjustment. See the README for the command line interface.
+container, and squeezes feasible layouts with a radius adjustment that
+closes its bracket by safeguarded secant steps. See the README for the
+command line interface.
 """
 
 from .geometry import (

@@ -3,9 +3,10 @@
 Three layers: a container-shrinking hop that perturbs a stuck layout into
 twenty restart candidates, a time-boxed global search that alternates random
 restarts with hop batches, and a radius-minimizing driver that alternates
-the global search with a bisection-based container adjustment until the
-radius stops improving. The global search settles each hop member only when
-it reaches that member; ``basin_hop`` settles all twenty at once.
+the global search with a container adjustment, which closes its bracket on
+the smallest feasible radius by safeguarded secant steps, until the radius
+stops improving. The global search settles each hop member only when it
+reaches that member; ``basin_hop`` settles all twenty at once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ HOP_ITERATION_RANGE = (50, 100)
 # container_adjust stops once the feasible/infeasible bracket is this tight,
 # and the driver stops once a round shrinks the radius by no more than this
 RADIUS_RESOLUTION = 1e-10
+# a secant probe lands at least this far from its predicted radius, just
+# under half the resolution, so one probe each side of an exact prediction
+# closes the bracket
+SECANT_MIN_STEP = 0.49 * RADIUS_RESOLUTION
 
 DEFAULT_ATTEMPT_SECONDS = 600.0
 DEFAULT_TOTAL_SECONDS = 3600.0
@@ -203,10 +208,18 @@ def container_adjust(layout: Layout, *, rng: Rng | None = None) -> AdjustResult:
 
     Probes radii below the current upper bound with geometrically growing
     decrements (1e-10, 1e-9, ...), reoptimizing from the ORIGINAL coordinates
-    at every probe, until a probe comes out infeasible; then bisects the
-    bracket down to RADIUS_RESOLUTION. The returned radius never exceeds the
-    input radius and never goes below 1 (a single unit circle needs that
-    much container). Probes descend in local mode with the default margins.
+    at every probe, until a probe comes out infeasible; then closes the
+    bracket down to RADIUS_RESOLUTION by a safeguarded secant on the square
+    root of the relaxed energy, which near the jamming radius falls linearly
+    to zero. The line through the two largest infeasible probes predicts
+    that radius; a probe lands past the prediction by how far it moved from
+    the previous prediction (at least SECANT_MIN_STEP), on the longer side
+    of the bracket. A probe bisects instead when the energy did not fall
+    between those two probes, when the secant probe would leave the open
+    bracket, or when two secant probes in a row have not halved it. The
+    returned radius never exceeds the input radius and never goes below 1
+    (a single unit circle needs that much container). Probes descend in
+    local mode with the default margins.
     """
     if not is_feasible(layout):
         raise ValueError("container_adjust requires a feasible starting layout")
@@ -215,6 +228,14 @@ def container_adjust(layout: Layout, *, rng: Rng | None = None) -> AdjustResult:
     r_upper = layout.radius
     best = layout
     r_lower = None
+    # (radius, sqrt of the relaxed energy) of the largest infeasible probe
+    last = None
+    # the root the line through the two largest infeasible probes predicts
+    # and its distance from the previous prediction, when the energy fell
+    prediction = previous_root = None
+    # the bracket's width before each of the last two probes, while both
+    # were secant probes
+    secant_widths = (math.inf, math.inf)
     while r_lower is None or r_upper - r_lower > RADIUS_RESOLUTION:
         if r_lower is None:
             # every probe so far was feasible, so ``probes`` counts them
@@ -223,15 +244,33 @@ def container_adjust(layout: Layout, *, rng: Rng | None = None) -> AdjustResult:
                 # bottomed out at the unit-circle floor with no infeasible probe
                 return AdjustResult(layout=best, bracket_width=0.0, probes=probes)
         else:
-            probe = 0.5 * (r_upper + r_lower)
-            if not (r_lower < probe < r_upper):
-                break
+            width = r_upper - r_lower
+            # NaN fails the bracket test below, so without a secant it bisects
+            secant = math.nan
+            if prediction is not None and width <= 0.5 * secant_widths[0]:
+                root, err = prediction
+                step = max(err, SECANT_MIN_STEP)
+                # toward the bracket's longer side, so that a root good to
+                # within the step leaves a bracket of about twice the step
+                secant = root + step if r_upper - root > root - r_lower else root - step
+            if r_lower < secant < r_upper:
+                probe, secant_widths = secant, (secant_widths[1], width)
+            else:
+                probe, secant_widths = 0.5 * (r_upper + r_lower), (math.inf, math.inf)
+                if not (r_lower < probe < r_upper):
+                    break
         probes += 1
         outcome = bfgs_minimize(layout, radius=probe, rng=rng)
         if outcome.status is OptimizeStatus.FEASIBLE:
             r_upper, best = probe, outcome.layout
         else:
-            r_lower = probe
+            r_lower, height = probe, math.sqrt(outcome.energy.total)
+            prediction = None
+            if last is not None and height < last[1]:
+                root = probe + height * (probe - last[0]) / (last[1] - height)
+                err = abs(root - (probe if previous_root is None else previous_root))
+                prediction, previous_root = (root, err), root
+            last = (probe, height)
     return AdjustResult(layout=best, bracket_width=r_upper - r_lower, probes=probes)
 
 

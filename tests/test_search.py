@@ -316,3 +316,116 @@ def test_minimize_radius_feasible_under_restart_budget(n, start_radius):
 def test_minimize_radius_rejects_bad_arguments(start_radius, t0, t1):
     with pytest.raises(ValueError, match="radius must|time limits must"):
         minimize_radius(2, start_radius, t0=t0, t1=t1, rng=Rng(0))
+
+
+def record_probes(monkeypatch, descend):
+    """Route container_adjust's probes through ``descend``; the returned
+    list gets one (radius, feasible, sqrt of the energy) entry per probe,
+    in probe order."""
+    probes = []
+
+    def recorded(layout, *, radius, rng=None):
+        outcome = descend(layout, radius=radius, rng=rng)
+        feasible = outcome.status is OptimizeStatus.FEASIBLE
+        probes.append((radius, feasible, math.sqrt(outcome.energy.total)))
+        return outcome
+
+    monkeypatch.setattr(search, "bfgs_minimize", recorded)
+    return probes
+
+
+def check_probe_record(probes, result):
+    """Every probe lies strictly inside the bracket of the probes before it,
+    and the result is the smallest feasible probe over the largest
+    infeasible one, closed to RADIUS_RESOLUTION. Returns each probe's kind,
+    "geometric" before the first infeasible probe, then "bisect" for the
+    midpoint of its bracket and "secant" otherwise, with the bracket's
+    width before it."""
+    upper, lower, kinds = math.inf, None, []
+    for radius, feasible, _ in probes:
+        if lower is None:
+            assert radius < upper
+            kinds.append(("geometric", math.inf))
+        else:
+            assert lower < radius < upper
+            kind = "bisect" if radius == 0.5 * (upper + lower) else "secant"
+            kinds.append((kind, upper - lower))
+        if feasible:
+            upper = radius
+        else:
+            lower = radius
+    assert result.probes == len(probes)
+    assert result.radius == upper
+    assert result.bracket_width == upper - lower <= RADIUS_RESOLUTION
+    return kinds
+
+
+# the stand-in descents' edge of feasibility: from 3.0 the geometric phase's
+# ten feasible probes end at 3 - 0.111111111, and 3 - 1.111111111 is the
+# first infeasible one
+JAMMED = 2.345678912345
+
+
+# most_probes counts the probes after the first infeasible one, where
+# bisection takes 34; a model the secant cannot follow may cost up to two
+# secant probes per halving on top of them
+@pytest.mark.parametrize(
+    "sqrt_energy, most_probes",
+    [
+        (lambda gap: 2.2 * gap, 6),
+        (lambda gap: 2.2 * gap + 3.0 * gap * gap, 34),
+        # non-monotone: sqrt(E) jumps up within 1e-4 of the edge
+        (lambda gap: 2.2 * gap + (0.5 if gap < 1e-4 else 0.0), 3 * 34),
+        (lambda gap: 0.3, 3 * 34),
+        # flattens toward the edge, so secant probes creep up on it
+        (lambda gap: gap**6, 3 * 34),
+        # the floor a real descent ends on within about 1e-10 of the edge
+        (lambda gap: 2.2 * gap + 1e-10, 6),
+    ],
+    ids=["linear", "quadratic", "jump", "flat", "sixth-power", "floor"],
+)
+def test_container_adjust_probe_rule(monkeypatch, sqrt_energy, most_probes):
+    def descend(layout, *, radius, rng=None):
+        root = sqrt_energy(JAMMED - radius) if radius < JAMMED else 0.0
+        return SimpleNamespace(
+            status=OptimizeStatus.FEASIBLE if root == 0.0 else OptimizeStatus.ITERATION_LIMIT,
+            energy=SimpleNamespace(total=root * root),
+            layout=Layout(layout.centers, radius),
+        )
+
+    probes = record_probes(monkeypatch, descend)
+    result = container_adjust(Layout(np.array([[0.0, 0.0]]), 3.0))
+    kinds = check_probe_record(probes, result)
+    assert JAMMED <= result.radius <= JAMMED + RADIUS_RESOLUTION
+    expected = [3.0]
+    for k in range(11):
+        expected.append(expected[-1] - 1e-10 * 10.0**k)
+    assert [radius for radius, _, _ in probes[:11]] == expected[1:]
+    assert [kind for kind, _ in kinds[:11]] == ["geometric"] * 11
+    assert len(probes) - 11 <= most_probes
+    # two secant probes in a row that did not halve the bracket are
+    # followed by a bisection
+    for k in range(13, len(kinds)):
+        (kind_a, width_a), (kind_b, _), (kind_c, width_c) = kinds[k - 2 : k + 1]
+        if kind_a == kind_b == "secant" and width_c > 0.5 * width_a:
+            assert kind_c == "bisect"
+    # no secant probe follows two infeasible probes whose sqrt(E) did not
+    # fall, until a further probe comes out infeasible
+    infeasible = []
+    for (_, feasible, root_energy), (kind, _) in zip(probes, kinds):
+        if len(infeasible) >= 2 and infeasible[-1] >= infeasible[-2]:
+            assert kind == "bisect"
+        if not feasible:
+            infeasible.append(root_energy)
+
+
+def test_container_adjust_probes_a_real_layout_inside_its_bracket(monkeypatch):
+    n = 12
+    found = global_search(n, 1.04 * load_best_known().radius_for(n), 30.0, rng=Rng(n))
+    assert found.status is SolveStatus.FEASIBLE
+    probes = record_probes(monkeypatch, bfgs_minimize)
+    result = container_adjust(found.layout, rng=Rng(1))
+    kinds = check_probe_record(probes, result)
+    assert is_feasible(result.layout)
+    assert result.radius < found.layout.radius
+    assert "secant" in {kind for kind, _ in kinds}
