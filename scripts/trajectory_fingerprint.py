@@ -13,8 +13,10 @@ the paper's largest instance, which is every run but the n = 400 descent:
 a change confined to the solver's path above that size leaves it equal.
 The third covers the 114 descents and none of the ``minimize_radius``
 runs: a change confined to the searches above ``bfgs_minimize``, such as
-the container adjustment, leaves it equal. Run from the root of a source
-checkout:
+the container adjustment, leaves it equal. One line per ``minimize_radius``
+run follows the hashes, with its n, status, radius (``repr``), restarts and
+hops, so that two outputs that differ show which radii moved and by how
+much. Run from the root of a source checkout:
 
     python scripts/trajectory_fingerprint.py
 
@@ -115,14 +117,18 @@ def main() -> int:
         digests = both if n <= PAPER_MAX_CIRCLES else (every_run,)
         descend((*digests, descents_only), f"n={n}", layout, "local", 1.0, 1.0)
         descents += 1
+    reports = []
     for n, radius, budget in RADIUS_RUNS:
         report = minimize_radius(n, radius, t0=1e6, t1=1e6, rng=Rng(n), max_restarts=budget)
         feed(both, n, report.status.value, report.radius, report.restarts, report.hops,
              report.layout.radius, report.layout.centers)
+        reports.append(f"minimize_radius n={n} status={report.status.value} "
+                       f"radius={report.radius!r} restarts={report.restarts} hops={report.hops}")
     print(f"descents={descents} radius_runs={len(RADIUS_RUNS)}")
     print(f"sha256 {every_run.hexdigest()}")
     print(f"sha256 n<={PAPER_MAX_CIRCLES} {paper_sizes.hexdigest()}")
     print(f"sha256 descents {descents_only.hexdigest()}")
+    print("\n".join(reports))
     return 0
 
 

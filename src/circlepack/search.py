@@ -5,8 +5,11 @@ twenty restart candidates, a time-boxed global search that alternates random
 restarts with hop batches, and a radius-minimizing driver that alternates
 the global search with a container adjustment, which closes its bracket on
 the smallest feasible radius by safeguarded secant steps, until the radius
-stops improving. The global search settles each hop member only when it
-reaches that member; ``basin_hop`` settles all twenty at once.
+stops improving. The adjustment's probes descend from the input coordinates
+until one inside the bracket comes out feasible, and from that layout,
+scaled to the probe radius, after it. The global search settles each hop
+member only when it reaches that member; ``basin_hop`` settles all twenty
+at once.
 """
 
 from __future__ import annotations
@@ -190,8 +193,8 @@ class AdjustResult:
 
     ``layout`` is feasible at ``radius``, the layout's own;
     ``bracket_width`` is the final gap between that radius and the largest
-    radius proven infeasible by reoptimization (0.0 when probing bottomed
-    out at the unit-circle floor).
+    radius proven infeasible by reoptimization (0.0 when every probe down
+    to the unit-circle floor was feasible).
     """
 
     layout: Layout
@@ -207,19 +210,26 @@ def container_adjust(layout: Layout, *, rng: Rng | None = None) -> AdjustResult:
     """Shrink a feasible layout's container to the smallest feasible radius.
 
     Probes radii below the current upper bound with geometrically growing
-    decrements (1e-10, 1e-9, ...), reoptimizing from the ORIGINAL coordinates
-    at every probe, until a probe comes out infeasible; then closes the
-    bracket down to RADIUS_RESOLUTION by a safeguarded secant on the square
-    root of the relaxed energy, which near the jamming radius falls linearly
-    to zero. The line through the two largest infeasible probes predicts
-    that radius; a probe lands past the prediction by how far it moved from
-    the previous prediction (at least SECANT_MIN_STEP), on the longer side
-    of the bracket. A probe bisects instead when the energy did not fall
-    between those two probes, when the secant probe would leave the open
-    bracket, or when two secant probes in a row have not halved it. The
-    returned radius never exceeds the input radius and never goes below 1
-    (a single unit circle needs that much container). Probes descend in
-    local mode with the default margins.
+    decrements (1e-10, 1e-9, ...; the next float down where a decrement
+    would round back to the bound), until a probe comes out infeasible;
+    then closes the bracket down to RADIUS_RESOLUTION by a safeguarded
+    secant on the square root of the relaxed energy, which near the jamming
+    radius falls linearly to zero. The line through the two largest
+    infeasible probes predicts that radius; a probe lands past the
+    prediction by how far it moved from the previous prediction (at least
+    SECANT_MIN_STEP), on the longer side of the bracket. A probe bisects
+    instead when the energy did not fall between those two probes, when
+    the secant probe would leave the open bracket, or when two secant
+    probes in a row have not halved it. The returned radius never exceeds
+    the input radius and never goes below 1 (a single unit circle needs
+    that much container).
+
+    Probes descend in local mode with the default margins, from the input
+    coordinates until a probe inside the bracket comes out feasible, and
+    from the latest such layout, its centres scaled by (probe - 1) /
+    (upper bound - 1), after it. Warm starts wait for the bracket: from far
+    above the edge, a start crowded toward the centre settles in a worse
+    basin.
     """
     if not is_feasible(layout):
         raise ValueError("container_adjust requires a feasible starting layout")
@@ -236,13 +246,18 @@ def container_adjust(layout: Layout, *, rng: Rng | None = None) -> AdjustResult:
     # the bracket's width before each of the last two probes, while both
     # were secant probes
     secant_widths = (math.inf, math.inf)
+    # set once a probe inside the bracket comes out feasible
+    warm = False
     while r_lower is None or r_upper - r_lower > RADIUS_RESOLUTION:
         if r_lower is None:
-            # every probe so far was feasible, so ``probes`` counts them
-            probe = max(r_upper - 1e-10 * 10.0**probes, 1.0)
-            if probe >= r_upper:
+            if r_upper <= 1.0:
                 # bottomed out at the unit-circle floor with no infeasible probe
                 return AdjustResult(layout=best, bracket_width=0.0, probes=probes)
+            # every probe so far was feasible, so ``probes`` counts them; the
+            # float below r_upper stands in for a decrement too small to
+            # change it, as 1e-10 is from 2**20 up
+            stepped = r_upper - 1e-10 * 10.0**probes
+            probe = max(min(stepped, math.nextafter(r_upper, 0.0)), 1.0)
         else:
             width = r_upper - r_lower
             # NaN fails the bracket test below, so without a secant it bisects
@@ -260,9 +275,15 @@ def container_adjust(layout: Layout, *, rng: Rng | None = None) -> AdjustResult:
                 if not (r_lower < probe < r_upper):
                     break
         probes += 1
-        outcome = bfgs_minimize(layout, radius=probe, rng=rng)
+        start = layout
+        if warm:
+            # every circle inside the wall at the probe radius, and pairs
+            # overlapping by at most 2 * (1 - scale)
+            scale = (probe - 1.0) / (r_upper - 1.0)
+            start = Layout(best.centers * scale, probe)
+        outcome = bfgs_minimize(start, radius=probe, rng=rng)
         if outcome.status is OptimizeStatus.FEASIBLE:
-            r_upper, best = probe, outcome.layout
+            r_upper, best, warm = probe, outcome.layout, r_lower is not None
         else:
             r_lower, height = probe, math.sqrt(outcome.energy.total)
             prediction = None

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from circlepack import search
-from circlepack.geometry import Layout, Rng, is_feasible, random_layout
+from circlepack.geometry import (
+    FEASIBLE_ENERGY,
+    Layout,
+    Rng,
+    is_feasible,
+    random_layout,
+    total_energy,
+)
 from circlepack.layout_io import load_best_known
 from circlepack.optimizer import OptimizeStatus, bfgs_minimize
 from circlepack.search import (
@@ -259,6 +266,18 @@ def test_container_adjust_floor_at_unit_radius():
     assert result.bracket_width == 0.0
 
 
+@pytest.mark.parametrize("radius", [3e6, 1e7])
+def test_container_adjust_probes_below_large_radii(radius):
+    # from 2**20 up, radius - 1e-10 rounds back to the radius; the first
+    # probes must still land below it instead of reporting the unit floor
+    layout = Layout(np.array([[0.0, 0.0], [3.0, 0.0]]), radius)
+    result = container_adjust(layout, rng=Rng(0))
+    assert result.probes > 0
+    assert result.radius == pytest.approx(2.0, abs=1e-9)
+    assert 0.0 < result.bracket_width <= RADIUS_RESOLUTION
+    assert is_feasible(result.layout)
+
+
 def test_minimize_radius_single_circle():
     report = minimize_radius(1, 5.0, t0=10.0, t1=30.0, rng=Rng(4))
     assert report.status is SolveStatus.FEASIBLE
@@ -419,13 +438,59 @@ def test_container_adjust_probe_rule(monkeypatch, sqrt_energy, most_probes):
             infeasible.append(root_energy)
 
 
-def test_container_adjust_probes_a_real_layout_inside_its_bracket(monkeypatch):
+@pytest.fixture(scope="module")
+def found_n12():
+    """A global_search hit at n = 12 with 4% slack over the best known radius."""
     n = 12
     found = global_search(n, 1.04 * load_best_known().radius_for(n), 30.0, rng=Rng(n))
     assert found.status is SolveStatus.FEASIBLE
+    return found
+
+
+def test_container_adjust_probes_a_real_layout_inside_its_bracket(monkeypatch, found_n12):
     probes = record_probes(monkeypatch, bfgs_minimize)
-    result = container_adjust(found.layout, rng=Rng(1))
+    result = container_adjust(found_n12.layout, rng=Rng(1))
     kinds = check_probe_record(probes, result)
     assert is_feasible(result.layout)
-    assert result.radius < found.layout.radius
+    assert result.radius < found_n12.layout.radius
     assert "secant" in {kind for kind, _ in kinds}
+
+
+def test_container_adjust_probe_starts(monkeypatch, found_n12):
+    # each probe's start: the input centres, bit for bit, until a probe
+    # inside the bracket comes out feasible; then the latest such layout
+    # scaled by (probe - 1) / (upper bound - 1), inside the wall
+    layout = found_n12.layout
+    calls = []
+
+    def recorded(start, *, radius, rng=None):
+        outcome = bfgs_minimize(start, radius=radius, rng=rng)
+        calls.append((start, radius, outcome))
+        return outcome
+
+    monkeypatch.setattr(search, "bfgs_minimize", recorded)
+    result = container_adjust(layout, rng=Rng(1))
+    upper, lower, warm = layout.radius, None, None
+    cold = warmed = 0
+    for start, radius, outcome in calls:
+        if warm is None:
+            assert start.centers.tobytes() == layout.centers.tobytes()
+            cold += 1
+        else:
+            scale = (radius - 1.0) / (upper - 1.0)
+            assert start.centers.tobytes() == (warm.centers * scale).tobytes()
+            walls = total_energy(Layout(start.centers, radius)).max_container_depth
+            assert walls * walls < FEASIBLE_ENERGY
+            warmed += 1
+        if outcome.status is OptimizeStatus.FEASIBLE:
+            upper = radius
+            if lower is not None:
+                warm = outcome.layout
+        else:
+            lower = radius
+    assert cold > 0 and warmed > 0
+    assert result.layout.centers.tobytes() == warm.centers.tobytes()
+
+    again = container_adjust(layout, rng=Rng(1))
+    assert (again.radius, again.probes) == (result.radius, result.probes)
+    assert again.layout.centers.tobytes() == result.layout.centers.tobytes()
