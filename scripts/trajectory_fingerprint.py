@@ -13,10 +13,16 @@ the paper's largest instance, which is every run but the n = 400 descent:
 a change confined to the solver's path above that size leaves it equal.
 The third covers the 114 descents and none of the ``minimize_radius``
 runs: a change confined to the searches above ``bfgs_minimize``, such as
-the container adjustment, leaves it equal. One line per ``minimize_radius``
-run follows the hashes, with its n, status, radius (``repr``), restarts and
-hops, so that two outputs that differ show which radii moved and by how
-much. Run from the root of a source checkout:
+the container adjustment, leaves it equal. None of those descents jams, so
+the fourth hash covers descents that do: from random starts at the
+best-known radius of n = 8..16, in full and local mode, and their
+``run_bounded`` settles of at most 120 steps. It takes only each run's
+status, exact energy and final centres, so a change to how a jammed descent
+ends that keeps its result leaves it equal, and the line with it counts the
+descents whose last step left the iterate where it was. One line per
+``minimize_radius`` run follows the hashes, with its n, status, radius
+(``repr``), restarts and hops, so that two outputs that differ show which
+radii moved and by how much. Run from the root of a source checkout:
 
     python scripts/trajectory_fingerprint.py
 
@@ -43,9 +49,9 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from circlepack import minimize_radius  # noqa: E402
-from circlepack.geometry import Layout, Rng, random_layout  # noqa: E402
-from circlepack.optimizer import bfgs_minimize  # noqa: E402
+from circlepack import load_best_known, minimize_radius  # noqa: E402
+from circlepack.geometry import Layout, Rng, random_layout, total_energy  # noqa: E402
+from circlepack.optimizer import bfgs_minimize, run_bounded  # noqa: E402
 
 DESCENT_SIZES = (1, 2, 3, 5, 8, 12, 16, 20, 25, 30, 40, 50, 60)
 # local mode with the default margins only, at the density of perfbench's
@@ -62,6 +68,10 @@ SETTINGS = (
 PAPER_MAX_CIRCLES = 320
 # (n, start radius, restart budget)
 RADIUS_RUNS = ((2, 1.9, 1), (3, 3.0, 3), (5, 3.0, 1), (7, 3.2, 2), (9, 3.7, 1), (12, 4.3, 2))
+# random starts at the best-known radius jam; (sizes, start seeds, settle cap)
+JAMMED_SIZES = range(8, 17)
+JAMMED_SEEDS = (0, 1)
+SETTLE_STEPS = 120
 
 
 def descent_starts():
@@ -104,6 +114,28 @@ def descend(digests, label, layout, mode, container_margin, pair_margin) -> None
          outcome.energy.max_container_depth, outcome.layout.centers)
 
 
+def jammed_outcomes(digest) -> tuple[int, int]:
+    """Feed the outcomes of the jammed descents and settles to ``digest``;
+    return the number of descents and of those whose last step stayed put."""
+    table = load_best_known()
+    descents = frozen = 0
+    for n in JAMMED_SIZES:
+        for seed in JAMMED_SEEDS:
+            start = random_layout(n, table.radius_for(n), Rng(seed))
+            for mode in ("full", "local"):
+                iterates = []
+                outcome = bfgs_minimize(
+                    start, mode=mode, rng=Rng(0),
+                    callback=lambda state, rec: iterates.append(state.iterate.tobytes()),
+                )
+                feed((digest,), outcome.status.value, outcome.energy.total, outcome.layout.centers)
+                descents += 1
+                frozen += len(iterates) >= 2 and iterates[-1] == iterates[-2]
+            settled = run_bounded(start, start.radius, SETTLE_STEPS, Rng(0))
+            feed((digest,), total_energy(settled).total, settled.centers)
+    return descents, frozen
+
+
 def main() -> int:
     every_run, paper_sizes, descents_only = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     both = (every_run, paper_sizes)
@@ -124,10 +156,14 @@ def main() -> int:
              report.layout.radius, report.layout.centers)
         reports.append(f"minimize_radius n={n} status={report.status.value} "
                        f"radius={report.radius!r} restarts={report.restarts} hops={report.hops}")
+    outcomes = hashlib.sha256()
+    jammed, frozen = jammed_outcomes(outcomes)
     print(f"descents={descents} radius_runs={len(RADIUS_RUNS)}")
     print(f"sha256 {every_run.hexdigest()}")
     print(f"sha256 n<={PAPER_MAX_CIRCLES} {paper_sizes.hexdigest()}")
     print(f"sha256 descents {descents_only.hexdigest()}")
+    print(f"sha256 outcomes {outcomes.hexdigest()} descents={jammed} frozen={frozen} "
+          f"settles={len(JAMMED_SIZES) * len(JAMMED_SEEDS)}")
     print("\n".join(reports))
     return 0
 

@@ -177,6 +177,7 @@ def cmd_render(args) -> int:
     if out is None:
         out = str(Path(args.path).with_suffix(".svg"))
     _refuse_same_file(args.path, out)
+    _refuse_unwritable_output(out)
     doc = read_layout(args.path)
     layout = doc.layout()
     text = render_svg(layout, show_indices=args.indices, tolerance=args.tolerance)

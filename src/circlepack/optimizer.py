@@ -19,10 +19,9 @@ overlap depths: ``gradient_eval``, the one place a descent gets a gradient,
 scatters the gradient at the new iterate from them instead of gathering
 and measuring the point again (see ``bfgs_minimize``). A jammed descent
 ends in steps too short to move any coordinate; once one such step leaves
-the iterate, gradient and energy bit for bit where they were, each later
-step on the same index would repeat it exactly, so the descent replays
-its result instead of searching again, and a rebuild at the iterate the
-index was built at keeps that index.
+the iterate, gradient and energy bit for bit where they were on an index
+built at that iterate, every later step would repeat it, so the descent
+ends there.
 """
 
 from __future__ import annotations
@@ -149,9 +148,7 @@ class OptimizeOutcome:
     feasibility threshold. ``evaluations`` counts evaluations against the
     active index: each trial point of the one-step-at-a-time line search,
     and one per ``gradient_eval`` call, whether it takes the accepted
-    trial's depths or measures the point afresh. A replayed step (see
-    ``bfgs_minimize``) counts the evaluations of the step it repeats, so
-    the count is that of a descent that recomputes every step.
+    trial's depths or measures the point afresh.
     """
 
     layout: Layout
@@ -385,20 +382,12 @@ def bfgs_minimize(
     that keeps no depths, it measures the point itself. Either way it
     nudges coincident centres.
 
-    A step is frozen when it was no steepest-descent restart, built no new
-    index and left the iterate, the gradient and the energy bit for bit
-    unchanged (its step rounds away on every coordinate). Every input of
-    the next step is then the same: the iterate, gradient, energy and
-    index, and the inverse Hessian or L-BFGS memory too, since both
-    updates skip a zero step. So until the index changes, each later step
-    replays the frozen step's length, value and evaluation count without
-    a line search, gradient or update; the budget, convergence and stall
-    checks and the callback still run at every step. The index is a pure
-    function of the iterate it was built at, so a rebuild at that same
-    iterate keeps it: a frozen tail builds one new index, on its first
-    rebuild, and replays through every later one. Iterates, counts and
-    outcomes are those of a descent that recomputes every step, bit for
-    bit.
+    A step that was no steepest-descent restart, ended on the index it
+    started on, built at its iterate (or covering every term), and left
+    the iterate, gradient and energy bit for bit unchanged would be
+    repeated by every later step. So it ends the run after its callback
+    with ITERATION_LIMIT, the layout and status the stall window or the
+    budget would end it with.
 
     Up to ``DENSE_MAX_CIRCLES`` circles the search direction comes from a
     dense inverse Hessian, above it from limited-memory BFGS; a
@@ -428,13 +417,8 @@ def bfgs_minimize(
 
     def rebuild(vec):
         nonlocal index, age, built_at
-        age = 0
-        # the index is a pure function of that iterate: rebuilding at the
-        # same bits would give the same index
-        bits = vec.tobytes()
-        if bits != built_at:
-            index = _build_index_raw(vec.reshape(n, 2), r, container_margin, pair_margin)
-            built_at = bits
+        index = _build_index_raw(vec.reshape(n, 2), r, container_margin, pair_margin)
+        age, built_at = 0, vec.tobytes()
 
     def evaluate(vec, depths=None):
         nonlocal evaluations
@@ -465,12 +449,6 @@ def bfgs_minimize(
     # the halvings the last line search accepted at (0 after a failed one);
     # the next search starts its trials around that depth
     halvings = 0
-    # (lam, accepted, trial evaluations) of the last step while it is
-    # frozen: it left x, g and the energy bit for bit where they were, so
-    # every input of the next step is the same; None otherwise. The checks
-    # at the top of the loop read only x, g and the energy, so they pass
-    # for every replay as they did for the frozen step
-    replay = None
 
     while True:
         # the bits of np.linalg.norm(g), without its dispatch
@@ -495,40 +473,29 @@ def bfgs_minimize(
             status = OptimizeStatus.ITERATION_LIMIT
             break
 
-        if replay is None:
-            searched = evaluations
-            # one steepest-descent restart when the quasi-Newton step fails
-            for restarted in (False, True):
-                if restarted:
-                    if memory is None:
-                        _reset_to_identity(state.inv_hessian)
-                    else:
-                        memory.clear()
-                    direction = -g
-                elif memory is None:
-                    direction = -(state.inv_hessian @ g)
+        # one steepest-descent restart when the quasi-Newton step fails
+        for restarted in (False, True):
+            if restarted:
+                if memory is None:
+                    _reset_to_identity(state.inv_hessian)
                 else:
-                    direction = -lbfgs_direction(g, memory)
-                slope = float(np.dot(g, direction))
-                lam, accepted, depths, halvings = line_search(
-                    trial_energy, x, direction, total, slope, halvings
-                )
-                if lam > 0.0:
-                    break
-            if lam == 0.0:
-                status = OptimizeStatus.ITERATION_LIMIT
+                    memory.clear()
+                direction = -g
+            elif memory is None:
+                direction = -(state.inv_hessian @ g)
+            else:
+                direction = -lbfgs_direction(g, memory)
+            slope = float(np.dot(g, direction))
+            lam, accepted, depths, halvings = line_search(
+                trial_energy, x, direction, total, slope, halvings
+            )
+            if lam > 0.0:
                 break
-            searched = evaluations - searched
-            # the bits of the accepted trial point
-            x_new = x + lam * direction
-            # a step that stays at x measures x again; on x's own index it
-            # nudges nothing, since x's own measurement needed no nudge
-            stays = not restarted and x_new.tobytes() == x.tobytes()
-        else:
-            # the search would accept the same step, which stays at x
-            lam, accepted, searched = replay
-            evaluations += searched
-            x_new = x
+        if lam == 0.0:
+            status = OptimizeStatus.ITERATION_LIMIT
+            break
+        # the bits of the accepted trial point
+        x_new = x + lam * direction
         step_index, step_age = index, age
         state.iteration += 1
         if not covers_all:
@@ -538,30 +505,28 @@ def bfgs_minimize(
                 depths = None
 
         energy_before = total
-        if replay is not None and index is step_index:
-            # the evaluation the replayed step repeats
-            evaluations += 1
+        # the accepted trial's depths give its gradient on the index they
+        # were taken on; after a rebuild the point is measured afresh
+        total, x_new, g_new = evaluate(x_new, depths)
+        # free the trial block behind the depths before the next step's
+        depths = None
+        # the index is a pure function of the iterate it was built at, so
+        # when it was built at x, every input of the next step is this
+        # step's (both updates skip a zero step) and it would repeat it
+        frozen = (
+            not restarted
+            and index is step_index
+            and (covers_all or built_at == x.tobytes())
+            and x_new.tobytes() == x.tobytes()
+            and g_new.tobytes() == g.tobytes()
+            and np.float64(total).tobytes() == np.float64(energy_before).tobytes()
+        )
+        if memory is None:
+            state.inv_hessian = update_inverse_hessian(state.inv_hessian, x_new - x, g_new - g)
         else:
-            # the accepted trial's depths give its gradient on the index
-            # they were taken on; after a rebuild the point is measured afresh
-            total, x_new, g_new = evaluate(x_new, depths)
-            # free the trial block behind the depths before the next step's
-            depths = None
-            frozen = (
-                replay is None
-                and stays
-                and index is step_index
-                and g_new.tobytes() == g.tobytes()
-                and np.float64(total).tobytes() == np.float64(energy_before).tobytes()
-            )
-            replay = (lam, accepted, searched) if frozen else None
-            # a frozen step has s = 0, which both updates skip
-            if memory is None:
-                state.inv_hessian = update_inverse_hessian(state.inv_hessian, x_new - x, g_new - g)
-            else:
-                lbfgs_push(memory, x_new - x, g_new - g)
-            x, g = x_new, g_new
-            state.iterate, state.gradient = x, g
+            lbfgs_push(memory, x_new - x, g_new - g)
+        x, g = x_new, g_new
+        state.iterate, state.gradient = x, g
         if callback is not None:
             callback(
                 state,
@@ -575,6 +540,9 @@ def bfgs_minimize(
                     restarted=restarted,
                 ),
             )
+        if frozen:
+            status = OptimizeStatus.ITERATION_LIMIT
+            break
         if best_seen - total > STALL_RELATIVE_DROP * max(abs(total), 1e-300):
             best_seen = total
             stall_anchor = state.iteration

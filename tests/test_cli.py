@@ -288,6 +288,18 @@ def test_render_refuses_to_overwrite_its_input(explicit, tmp_path, capsys):
     assert main(["verify", str(lay)]) == EXIT_OK
 
 
+
+@pytest.mark.parametrize("missing", ["no-directory", "directory"])
+def test_render_to_an_unwritable_output_is_a_usage_error(missing, tmp_path, capsys):
+    # an svg in a directory that does not exist, or one that is a
+    # directory, used to exit 65, the code of a malformed input file
+    lay = tmp_path / "lay.txt"
+    cp.write_layout(cp.Layout(np.array([[0.0, 0.0]]), 1.0), None, lay)
+    path = tmp_path / "missing_dir" / "x.svg" if missing == "no-directory" else tmp_path
+    assert main(["render", str(lay), "--svg", str(path)]) == EXIT_USAGE
+    assert str(path) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [lay]
+
 def test_bench_hits_csv_schema(table_csv, tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = main([

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -696,12 +697,11 @@ def test_search_matches_sequential_line_search(monkeypatch):
 
 
 def test_deep_start_changes_only_the_kernel_calls(monkeypatch):
-    # a descent at the best-known radius of n = 12 jams: 78 of its 94
+    # a descent at the best-known radius of n = 12 jams: 85 of its 101
     # line searches accept at or before the halvings the previous one
     # accepted at, and each of those makes one kernel call before its
-    # polish (its other 55 steps are replayed and search nothing). Handing
-    # every search depth 0 instead must give the same steps and outcome,
-    # bit for bit
+    # polish. Handing every search depth 0 instead must give the same
+    # steps and outcome, bit for bit
     real = optimizer.line_search
     searches = []
 
@@ -735,25 +735,54 @@ def test_deep_start_changes_only_the_kernel_calls(monkeypatch):
     assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
     near = [calls for depth, halvings, calls in searches if halvings is not None and halvings <= depth]
     assert near == [1] * len(near)
-    assert (len(near), len(searches)) == (78, 94)
+    assert (len(near), len(searches)) == (85, 101)
 
 
 def jammed_12():
     # at the best-known radius of n = 12, Rng(0) jams: from step 93 on no
-    # step moves the iterate, and the stall window ends the run at step 149
+    # step moves the iterate. Full mode ends the run there; local mode
+    # searches on until its rebuild at step 100 builds an index at that
+    # iterate, and step 101 ends it. Run to the stall window instead, both
+    # ended at step 149 with the layout and energy below
     return random_layout(12, cp.load_best_known().radius_for(12), Rng(0))
+
+
+# the sha256 of the final centres and the exact energy of jammed_12()'s
+# descent run to its stall window, in either mode
+JAMMED_12_CENTERS = "740e19a73bd0c7c66d11f9a05c905066baf1d6e65629ca5d6ec14b7adc4652bf"
+JAMMED_12_ENERGY = 0.0637472894350612
+
+
+def recompute_step(x0, g0, inv_hessian, energy, restarted, start_index, end_index, radius):
+    """One descent step recomputed: the line search on ``index_energy``
+    over ``start_index`` from ``x0`` and ``g0`` along the quasi-Newton
+    direction of ``inv_hessian``, or along -g0 for a restart, then
+    ``gradient_eval`` on ``end_index``. Returns the step length, its
+    value, the new point and the gradient there."""
+    n = x0.size // 2
+    direction = -g0 if restarted else -(inv_hessian @ g0)
+
+    def kernel(origin, d, steps, limits):
+        return neighbors.index_energy(origin, d, steps, limits, radius, start_index)
+
+    lam, value, depths, _ = line_search(kernel, x0, direction, energy, float(np.dot(g0, direction)))
+    point = x0 + lam * direction
+    _, grad, centers = neighbors.gradient_eval(
+        point.reshape(n, 2), radius, end_index, None, depths if end_index is start_index else None
+    )
+    assert point.tobytes() == centers.tobytes()
+    return lam, value, point, grad
 
 
 def recompute_still_steps(monkeypatch, layout, descend):
     """Run ``descend(layout, callback)`` with a callback that recomputes
-    every step whose iterate did not change: the line search on
-    ``index_energy`` over the index the step started on, from the previous
-    step's iterate and gradient and the inverse Hessian in ``state`` (a
-    step that stays put has s = 0, which the update skips), then
-    ``gradient_eval`` on the index the step ended on. Asserts that this
-    gives the step's record and the bits of ``state``. Returns the
-    descent's outcome, the records of the recomputed steps and the number
-    of line searches the descent made."""
+    every step whose iterate did not change (see ``recompute_step``), from
+    the previous step's iterate and gradient and the inverse Hessian in
+    ``state`` (a step that stays put has s = 0, which the update skips),
+    on the index the step started on and the one it ended on. Asserts that
+    this gives the step's record and the bits of ``state``. Returns the
+    descent's outcome, the records of the recomputed steps, the number of
+    line searches the descent made and its last state and index."""
     radius = layout.radius
     builds = record_calls(monkeypatch, "_build_index_raw")
     searches = record_calls(monkeypatch, "line_search")
@@ -762,141 +791,113 @@ def recompute_still_steps(monkeypatch, layout, descend):
 
     def check(state, rec):
         x, g = state.iterate, state.gradient
-        n = x.size // 2
         new_builds = len(builds) - previous.get("builds", 0)
-        index = builds[-1] if builds else neighbors.full_index(n)
+        index = builds[-1] if builds else neighbors.full_index(x.size // 2)
         if previous and x.tobytes() == previous["x"].tobytes():
             # only a step's own rebuild, after its search, changes the index
             assert new_builds == 0 or rec.index_age == optimizer.REFRESH_PERIOD - 1
-            start_index = previous["index"]
-            g0 = previous["g"]
-            direction = -g0 if rec.restarted else -(state.inv_hessian @ g0)
-
-            def kernel(origin, d, steps, limits):
-                return neighbors.index_energy(origin, d, steps, limits, radius, start_index)
-
-            lam, value, depths, _ = line_search(
-                kernel, previous["x"], direction, rec.energy_before, float(np.dot(g0, direction))
-            )
-            point = previous["x"] + lam * direction
-            _, grad, centers = neighbors.gradient_eval(
-                point.reshape(n, 2), radius, index, None, depths if index is start_index else None
+            lam, value, point, grad = recompute_step(
+                previous["x"], previous["g"], state.inv_hessian, rec.energy_before,
+                rec.restarted, previous["index"], index, radius,
             )
             assert same_bits(lam, rec.step_length)
             assert same_bits(value, rec.energy_after)
-            assert point.tobytes() == centers.tobytes() == x.tobytes()
+            assert point.tobytes() == x.tobytes()
             assert grad.tobytes() == g.tobytes()
             still.append(rec)
-        previous.update(x=x.copy(), g=g.copy(), index=index, builds=len(builds))
+        previous.update(x=x.copy(), g=g.copy(), inv_hessian=state.inv_hessian.copy(),
+                        index=index, builds=len(builds))
 
     outcome = descend(layout, check)
-    return outcome, still, len(searches)
+    return outcome, still, len(searches), previous
+
+
+def assert_jammed_12_layout(outcome):
+    assert outcome.status is OptimizeStatus.ITERATION_LIMIT
+    assert hashlib.sha256(outcome.layout.centers.tobytes()).hexdigest() == JAMMED_12_CENTERS
+    assert outcome.energy.total == JAMMED_12_ENERGY
 
 
 @pytest.mark.parametrize("mode", ["local", "full"])
-def test_replayed_stall_tail_matches_recomputed_steps(monkeypatch, mode):
-    # the frozen tail runs until the stall window ends the descent; in
-    # local mode it crosses index rebuilds, the first of which is real
-    outcome, still, searches = recompute_still_steps(
+def test_frozen_step_ends_the_descent(monkeypatch, mode):
+    # the first still step on an index built at its iterate ends the run
+    # with the layout and energy of the run to the stall window
+    steps = {"local": 101, "full": 93}[mode]
+    outcome, still, searches, last = recompute_still_steps(
         monkeypatch, jammed_12(),
         lambda layout, callback: bfgs_minimize(layout, mode=mode, rng=Rng(0), callback=callback),
     )
-    assert outcome.status is OptimizeStatus.ITERATION_LIMIT
-    # the counts of the same descent recomputing every step
-    assert (outcome.iterations, outcome.evaluations) == (149, 2543)
-    assert [rec.iteration for rec in still] == list(range(93, 150))
+    assert_jammed_12_layout(outcome)
+    assert outcome.iterations == steps
+    assert [rec.iteration for rec in still] == list(range(93, steps + 1))
     assert not any(rec.restarted for rec in still)
-    # every still step but the first is replayed, and in local mode but
-    # the one after the step that rebuilt the index for real
-    assert searches == outcome.iterations - len(still) + (2 if mode == "local" else 1)
-    rebuilding = [rec for rec in still if rec.index_age == optimizer.REFRESH_PERIOD - 1]
-    assert len(rebuilding) == (5 if mode == "local" else 0)
-
-
-def test_replayed_tail_ends_at_the_settle_cap(monkeypatch):
-    # a hop settle is run_bounded's capped descent: its budget of h steps
-    # ends the frozen tail, not the stall window
-    h = 120
-    outcomes = []
-    real = optimizer.bfgs_minimize
-
-    def descend(layout, callback):
-        def capped(*args, **kwargs):
-            outcomes.append(real(*args, callback=callback, **kwargs))
-            return outcomes[-1]
-
-        monkeypatch.setattr(optimizer, "bfgs_minimize", capped)
-        settled = run_bounded(layout, layout.radius, h, Rng(0))
-        assert settled.centers.tobytes() == outcomes[0].layout.centers.tobytes()
-        return outcomes[0]
-
-    outcome, still, searches = recompute_still_steps(monkeypatch, jammed_12(), descend)
-    # the counts of the same descent recomputing every step
-    assert (outcome.status, outcome.iterations, outcome.evaluations) == (
-        OptimizeStatus.ITERATION_LIMIT, h, 1818
+    # every step searches
+    assert searches == outcome.iterations
+    # one more step, on an index built at the final iterate, stays put
+    x, radius = last["x"], outcome.layout.radius
+    margins = (neighbors.DEFAULT_CONTAINER_MARGIN, neighbors.DEFAULT_PAIR_MARGIN)
+    index = (
+        neighbors.full_index(12) if mode == "full"
+        else neighbors._build_index_raw(x.reshape(12, 2), radius, *margins)
     )
-    assert [rec.iteration for rec in still] == list(range(93, h + 1))
-    # the first still step and the one after the real rebuild at step 100
-    # search; the rest are replayed
-    assert searches == h - len(still) + 2
+    _, _, point, grad = recompute_step(
+        x, last["g"], last["inv_hessian"], outcome.energy.total, False, index, index, radius
+    )
+    assert point.tobytes() == x.tobytes()
+    assert grad.tobytes() == last["g"].tobytes()
 
 
-def test_restarted_still_step_is_not_replayed(monkeypatch):
-    # at the best-known radius of n = 9, Rng(0) jams from step 77 on. Its
-    # quasi-Newton search there is made to fail, and the steepest-descent
-    # restart stays put too; a restart resets the inverse Hessian, so the
-    # step after it searches again instead of replaying the restart
+def test_frozen_step_on_an_older_index_is_searched_again(monkeypatch):
+    # local mode's index at step 93 was built at step 90's iterate, so the
+    # still steps 93-100 search again; the rebuild at step 100 builds, at
+    # the frozen iterate, and the step after it ends the run
+    built = record_calls(monkeypatch, "_build_index_raw")
+    ages = []
+    outcome = bfgs_minimize(
+        jammed_12(), rng=Rng(0), callback=lambda state, rec: ages.append(rec.index_age)
+    )
+    assert outcome.iterations == 101
+    assert ages[92:] == [2, 3, 4, 5, 6, 7, 8, 9, 0]
+    # the first build and one per refresh period: every rebuild builds
+    assert len(built) == 1 + outcome.iterations // optimizer.REFRESH_PERIOD
+
+
+def test_frozen_settle_ends_before_its_cap(monkeypatch):
+    # a hop settle is run_bounded's capped descent: a frozen step ends it
+    # before its budget of h = 120 steps, with the layout of the full run
+    outcomes = record_calls(monkeypatch, "bfgs_minimize")
+    layout = jammed_12()
+    settled = run_bounded(layout, layout.radius, 120, Rng(0))
+    assert_jammed_12_layout(outcomes[0])
+    assert outcomes[0].iterations == 101
+    assert settled.centers.tobytes() == outcomes[0].layout.centers.tobytes()
+
+
+def test_restarted_still_step_does_not_end_the_descent(monkeypatch):
+    # at the best-known radius of n = 9, Rng(0) jams from step 77 on, and
+    # step 81, the first still step on an index built at its iterate,
+    # ends the run. Its quasi-Newton search is made to fail, and the
+    # steepest-descent restart stays put too; a restart resets the inverse
+    # Hessian, so it does not end the run, and the step after it does
     searches = 0
 
     def search(eval_fn, x, d, u0, slope, depth):
         nonlocal searches
         searches += 1
-        if searches == 77:
+        if searches == 81:
             return 0.0, u0, None, 0
         return line_search(eval_fn, x, d, u0, slope, depth)
 
     monkeypatch.setattr(optimizer, "line_search", search)
-    searched_by = {}
-
-    def descend(layout, callback):
-        def record(state, rec):
-            searched_by[rec.iteration] = searches
-            callback(state, rec)
-
-        return bfgs_minimize(layout, rng=Rng(0), callback=record)
-
     layout = random_layout(9, cp.load_best_known().radius_for(9), Rng(0))
-    _, still, _ = recompute_still_steps(monkeypatch, layout, descend)
-    assert (still[0].iteration, still[0].restarted) == (77, True)
-    assert searched_by[78] == searched_by[77] + 1
-
-
-def test_rebuild_at_the_last_built_iterate_builds_nothing(monkeypatch):
-    # the index is a pure function of the iterate it is built at, so a
-    # rebuild at that iterate's bits keeps it; the jammed tail rebuilds at
-    # one iterate five times and builds once
-    built = []
-    real = optimizer._build_index_raw
-
-    def recorded(centers, *args):
-        built.append(centers.tobytes())
-        return real(centers, *args)
-
-    monkeypatch.setattr(optimizer, "_build_index_raw", recorded)
-    rebuilding = []
-    seen = [0]
-
-    def record(state, rec):
-        if rec.index_age == optimizer.REFRESH_PERIOD - 1:
-            last = built[seen[0] - 1]
-            rebuilding.append((len(built) - seen[0], state.iterate.tobytes() == last))
-        seen[0] = len(built)
-
-    outcome = bfgs_minimize(jammed_12(), rng=Rng(0), callback=record)
-    assert len(rebuilding) == outcome.iterations // optimizer.REFRESH_PERIOD
-    assert all(calls == (not same) for calls, same in rebuilding)
-    assert [same for _, same in rebuilding].count(True) == 4
-    assert len(built) == 1 + len(rebuilding) - 4
+    outcome, still, _, _ = recompute_still_steps(
+        monkeypatch, layout,
+        lambda layout, callback: bfgs_minimize(layout, rng=Rng(0), callback=callback),
+    )
+    assert [(rec.iteration, rec.restarted, rec.index_age) for rec in still[-2:]] == [
+        (81, True, 0), (82, False, 1)
+    ]
+    assert (outcome.status, outcome.iterations) == (OptimizeStatus.ITERATION_LIMIT, 82)
 
 
 def record_calls(monkeypatch, name, module=optimizer):
