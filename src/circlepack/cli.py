@@ -220,6 +220,12 @@ def cmd_bench(args) -> int:
         if args.radius is not None:
             raise UsageError("--radius applies to --experiment modes only")
         table = _load_table(args.best_known)
+        # every radius is looked up before the first search starts
+        try:
+            for n in ns:
+                table.radius_for(n)
+        except KeyError as exc:
+            raise UsageError(str(exc)) from None
         records = bench_mod.run_hits(
             ns,
             table,

@@ -198,8 +198,7 @@ def candidate_pairs(centers: np.ndarray, reach: float) -> tuple[np.ndarray, np.n
 
 class Depths(NamedTuple):
     """The depths of one point over listed terms: the six arrays of
-    ``depth_stage``, then the positive pair and wall depths alone, in
-    listing order (``pair``, ``wall``), and the energy they make."""
+    ``depth_stage`` and the energy ``total`` they make."""
 
     delta: np.ndarray
     dist: np.ndarray
@@ -207,8 +206,6 @@ class Depths(NamedTuple):
     walls: np.ndarray
     rad: np.ndarray
     wall_depth: np.ndarray
-    pair: np.ndarray
-    wall: np.ndarray
     total: float
 
     def energy(self) -> Energy:
@@ -219,10 +216,11 @@ class Depths(NamedTuple):
 
 
 # Only the elementwise stage is shared. Measured on a 2-vCPU virtual
-# machine over points sampled from perfbench's hit-bestknown cells: a
-# one-point trial run as a one-row block costs 35.9 us against 27.1 us
-# for ``listed_depths``, and one-point calls are 33,648 of a round's
-# 49,797 kernel calls. Scattering the gradient over every listed pair
+# machine (numpy 2.4.6, one BLAS thread) over points sampled from
+# perfbench's hit-bestknown cells at n = 30, about 100 listed terms: a
+# one-point trial run as a one-row block costs 17.8 us against 9.7 us for
+# ``listed_depths``, and one-point calls are 29,925 of a round's 42,354
+# kernel calls. Scattering the gradient over every listed pair
 # instead of the active ones gives the same bits and is faster on local
 # lists (17.4 against 32.2 us), but in full mode at n = 200 it takes 278
 # against 95 us (205 of 19,900 pairs active), and a listed wall circle at
@@ -266,17 +264,15 @@ def listed_depths(
 
     Every listed pair contributes twice its squared depth to ``total``
     (each member of the pair stores the same deformation); each listed
-    wall term contributes its squared depth once. An empty list
-    contributes +0.0.
+    wall term contributes its squared depth once. Each sum is the dot
+    product of the listed depths with themselves, zeros included, in
+    listing order, so it is the sum a row of the trial kernel's block
+    gets. An empty list contributes +0.0.
     """
     stage = depth_stage(centers, radius, pair_i, pair_j, container_ids)
     pair_depth, wall_depth = stage[2], stage[5]
-    # summing only the active depths keeps the accumulation order
-    # independent of how many zero-depth terms the listing carries
-    pair = pair_depth[pair_depth > 0.0]
-    wall = wall_depth[wall_depth > 0.0]
-    total = 2.0 * float(pair.dot(pair)) + float(wall.dot(wall))
-    return Depths(*stage, pair, wall, total)
+    total = 2.0 * float(pair_depth.dot(pair_depth)) + float(wall_depth.dot(wall_depth))
+    return Depths(*stage, total)
 
 
 def scatter_gradient(
@@ -301,8 +297,8 @@ def scatter_gradient(
     # the size guards skip several numpy calls on an empty active list,
     # which is the common case for the wall terms (and bincount of no
     # terms comes back as integers)
-    if depths.pair.size:
-        active = depths.pair_depth.nonzero()[0]
+    active = depths.pair_depth.nonzero()[0]
+    if active.size:
         dist = depths.dist.take(active)
         # a coincident pair has depth 2, so the total is at least 8
         if depths.total >= 8.0 and not dist.all():
@@ -311,18 +307,18 @@ def scatter_gradient(
         jj = pair_j.take(active)
         delta = depths.delta.take(active, axis=0)
         # each pair appears twice in the energy, hence the factor 4
-        push = 4.0 * depths.pair / dist
+        push = 4.0 * depths.pair_depth.take(active) / dist
         for axis in (0, 1):
             terms = push * delta[:, axis]
             grad[:, axis] = np.bincount(jj, terms, minlength=n) - np.bincount(
                 ii, terms, minlength=n
             )
-    if depths.wall.size:
-        active = depths.wall_depth.nonzero()[0]
+    active = depths.wall_depth.nonzero()[0]
+    if active.size:
         ids = container_ids.take(active)
         walls = depths.walls.take(active, axis=0)
         # rad > 0 whenever the wall term is active, since radius > 0
-        push = 2.0 * depths.wall / depths.rad.take(active)
+        push = 2.0 * depths.wall_depth.take(active) / depths.rad.take(active)
         # a wall circle is listed once, so its bin holds 0.0 + its term; no
         # entry of grad is -0.0 (bins start at +0.0 and x - x is +0.0), so
         # adding that bin, or the +0.0 of a bin no wall term reaches, gives
@@ -337,11 +333,18 @@ def total_energy(layout: Layout) -> Energy:
 
     Only pairs closer than 2 overlap, so the pairs come from
     ``candidate_pairs`` with reach 2; the pairs it leaves out have depth
-    zero and change neither the sum nor the maxima.
+    zero and change neither the sum nor the maxima. Unlike
+    ``listed_depths``, each sum is the dot product of the positive depths
+    alone, compacted in listing order, so its bits do not depend on how
+    many zero-depth candidates the grid returns: every n gets the bits of
+    a scan of all pairs.
     """
     pair_i, pair_j = candidate_pairs(layout.centers, 2.0)
-    depths = listed_depths(layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n))
-    return depths.energy()
+    stage = depth_stage(layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n))
+    pair = stage[2][stage[2] > 0.0]
+    wall = stage[5][stage[5] > 0.0]
+    total = 2.0 * float(pair.dot(pair)) + float(wall.dot(wall))
+    return Depths(*stage, total).energy()
 
 
 def is_feasible(layout: Layout) -> bool:

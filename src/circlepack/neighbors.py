@@ -35,13 +35,6 @@ _COINCIDENT_JITTER = 1e-8
 # while the hundred-odd terms a local index lists at n <= 60 split only
 # chunks of more than 20 rows
 _TRIAL_ELEMENTS = 4096
-# blocks of at least this many rows settle their leading run of rows that
-# share row 0's active sets in one pass. At n = 30 that pass costs a fixed
-# 12 us or so, the row-by-row walk about 2 us per row it settles, so fewer
-# rows gain nothing: a first chunk after a search that accepted within 6
-# halvings, a later chunk that starts before row 7 or is cut at row 50,
-# or the two-row blocks of n = 400
-_SHARED_MIN_ROWS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,25 +103,13 @@ def index_energy(
     Every row's energy and depths have the bits ``geometry.listed_depths``
     gives at that one point. A one-step call runs it. Otherwise a block of
     rows, shape (rows, n, 2), goes through ``geometry.depth_stage`` in one
-    pass. The sums are not elementwise: BLAS sums a vector in an order set
-    by its length, so each row's active depths are compacted and go
-    through the same dot product that ``listed_depths`` takes; summing a
-    row with its zero depths left in would change the last bits. A block
-    holds at most _TRIAL_ELEMENTS row-by-term depths, so a wide index
-    (about 1,500 terms at n = 400) is evaluated a few rows at a time and
-    memory stays flat.
-
-    The rows of a stalled search's block move so little that they mostly
-    share their active sets. A block of at least _SHARED_MIN_ROWS rows
-    therefore first takes the leading run of rows whose pair and wall
-    active sets equal row 0's and compacts them once, with ``compress``
-    along the term axis, into C-contiguous 2-D arrays; a masked index
-    would give F order, whose strided rows a dot sums in another order.
-    One stacked matmul then sums every row of the run through the dot
-    product ``ndarray.dot`` takes (``_row_dots``). The rows after the run,
-    and every row of a smaller block, are compacted and summed one at a
-    time. Either way the first row in order whose energy is at most its
-    limit is the one returned.
+    pass, and one stacked matmul (``_row_dots``) sums each row of its
+    C-contiguous pair and wall depths, zeros included, through the dot
+    product ``listed_depths`` takes. A block holds at most
+    _TRIAL_ELEMENTS row-by-term depths, so a wide index (about 1,500
+    terms at n = 400) is evaluated a few rows at a time and memory stays
+    flat. The first row in order whose energy is at most its limit is the
+    one returned.
     """
     n = x.size // 2
     if isinstance(steps, float):
@@ -146,35 +127,13 @@ def index_energy(
             (x + lam[:, None] * d).reshape(lam.size, n, 2),
             radius, index.pair_i, index.pair_j, index.container_ids,
         )
-        pair_depth, wall_depth = stage[2], stage[5]
-        pair_active = pair_depth > 0.0
-        wall_active = wall_depth > 0.0
-        run = _shared_run(pair_active, wall_active) if lam.size >= _SHARED_MIN_ROWS else 0
-        if run:
-            p = pair_depth[:run].compress(pair_active[0], axis=1)
-            c = wall_depth[:run].compress(wall_active[0], axis=1)
-            values = 2.0 * _row_dots(p) + _row_dots(c)
-            passed = values <= limits[start : start + run]
-            k = int(passed.argmax())
-            if passed[k]:
-                value = float(values[k])
-                return start + k, value, Depths(*[a[k] for a in stage], p[k], c[k], value)
-            value = float(values[-1])
-        for k in range(run, lam.size):
-            p = pair_depth[k][pair_active[k]]
-            c = wall_depth[k][wall_active[k]]
-            value = 2.0 * float(p.dot(p)) + float(c.dot(c))
-            if value <= limits[start + k]:
-                return start + k, value, Depths(*[a[k] for a in stage], p, c, value)
-    return steps.size, value, None
-
-
-def _shared_run(pair_active: np.ndarray, wall_active: np.ndarray) -> int:
-    """Length of the leading run of rows whose active sets equal row 0's."""
-    same = (pair_active == pair_active[0]).all(axis=1)
-    same &= (wall_active == wall_active[0]).all(axis=1)
-    # row 0 matches itself, so argmin is 0 only when every row matches
-    return int(same.argmin()) or same.size
+        values = 2.0 * _row_dots(stage[2]) + _row_dots(stage[5])
+        passed = values <= limits[start : start + lam.size]
+        k = int(passed.argmax())
+        if passed[k]:
+            value = float(values[k])
+            return start + k, value, Depths(*[a[k] for a in stage], value)
+    return steps.size, float(values[-1]), None
 
 
 def _row_dots(rows: np.ndarray) -> np.ndarray:

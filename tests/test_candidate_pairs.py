@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 import circlepack as cp
 from circlepack import geometry
 from circlepack.geometry import (
+    Depths,
     Layout,
     all_pair_indices,
     candidate_pairs,
-    listed_depths,
+    depth_stage,
     total_energy,
 )
 from circlepack.neighbors import NeighborIndex, _build_index_raw
@@ -41,10 +42,14 @@ def build_index_by_all_pairs(centers, radius, container_margin, pair_margin):
 
 
 def total_energy_by_all_pairs(layout):
-    """Reference: the energy kernel over every pair and wall term."""
+    """Reference: the exact energy over every pair and wall term, each sum
+    the dot product of the positive depths in listing order."""
     pair_i, pair_j = all_pair_indices(layout.n)
-    depths = listed_depths(layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n))
-    return depths.energy()
+    stage = depth_stage(layout.centers, layout.radius, pair_i, pair_j, np.arange(layout.n))
+    pair = stage[2][stage[2] > 0.0]
+    wall = stage[5][stage[5] > 0.0]
+    total = 2.0 * float(pair.dot(pair)) + float(wall.dot(wall))
+    return Depths(*stage, total).energy()
 
 
 def energy_bits(energy):

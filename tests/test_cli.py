@@ -319,6 +319,23 @@ def test_bench_rejects_bad_range():
     assert main(["bench", "--n", "abc"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("ns", ["150", "99-101"])
+def test_bench_hits_missing_table_entry_is_a_usage_error_before_the_search(
+    ns, tmp_path, monkeypatch
+):
+    # the bundled table ends at n = 100: every n is looked up before the
+    # first search, so 99 and 100 are not searched before 101 fails
+    searched = []
+    monkeypatch.setattr(
+        cp.bench, "global_search", lambda n, *args, **kwargs: searched.append(n)
+    )
+    out = tmp_path / "hits.csv"
+    code = main(["bench", "--n", ns, "--reps", "1", "--max-restarts", "1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert searched == []
+    assert not out.exists()
+
+
 def test_bench_modes_and_refresh(tmp_path, capsys):
     modes = tmp_path / "modes.csv"
     code = main([

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from circlepack.geometry import Layout, Rng, random_layout, total_energy
+from circlepack.geometry import Layout, Rng, listed_depths, random_layout, total_energy
 from circlepack.neighbors import (
     DEFAULT_CONTAINER_MARGIN,
     DEFAULT_PAIR_MARGIN,
@@ -75,34 +75,37 @@ def test_adjacency_lists_are_symmetric():
 
 
 def test_index_energy_bitwise_equal_to_total_energy():
-    # a freshly built index must reproduce the all-pairs energy exactly:
-    # terms it omits have zero depth and the active summation order matches
+    # a point's energy is the dot product of its listed depths, zeros
+    # included, so a freshly built index gives the bits of listed_depths
+    # over its own terms. total_energy sums the positive depths alone:
+    # the terms an index omits have zero depth, so the two sums hold the
+    # same squares and differ by rounding only, a few ulps
     for seed in range(20):
         layout = dense_layout(int(Rng(seed).integers(2, 40)), seed)
         full = total_energy(layout).total
-        fresh = energy_at(layout.centers, layout.radius, index_of(layout))
-        everything = energy_at(layout.centers, layout.radius, full_index(layout.n))
-        assert fresh == full
-        assert everything == full
+        for index in (index_of(layout), full_index(layout.n)):
+            value = energy_at(layout.centers, layout.radius, index)
+            listed = listed_depths(
+                layout.centers, layout.radius, index.pair_i, index.pair_j, index.container_ids
+            )
+            assert value.hex() == listed.total.hex()
+            assert value == pytest.approx(full, rel=8 * np.finfo(float).eps, abs=0.0)
 
 
 def test_row_dots_of_compacted_rows_match_per_row_dot():
-    # the trial kernel compacts the active columns of a run of rows and
-    # sums each row with one stacked matmul; every row must get the bits
-    # ndarray.dot gives that row compacted on its own, at every length a
-    # listing can have. Magnitudes spread over 12 decades make the
-    # summation order show in the last bits
+    # the trial kernel sums each row of a block's C-contiguous depths, zeros
+    # included, with one stacked matmul; every row must get the bits
+    # ndarray.dot gives that row on its own, at every length a listing can
+    # have. Magnitudes spread over 12 decades and a share of exact zeros
+    # make the summation order show in the last bits
     rng = np.random.default_rng(0)
     for length in range(1501):
-        block = rng.uniform(size=(3, length + 7)) * 10.0 ** rng.uniform(-12.0, 0.0, size=(3, 1))
-        mask = np.zeros(length + 7, dtype=bool)
-        mask[rng.permutation(length + 7)[:length]] = True
-        rows = block.compress(mask, axis=1)
+        rows = rng.uniform(size=(3, length)) * 10.0 ** rng.uniform(-12.0, 0.0, size=(3, 1))
+        rows[rng.uniform(size=rows.shape) < 0.5] = 0.0
         assert rows.flags.c_contiguous
         sums = _row_dots(rows)
         for k in range(3):
-            p = block[k][mask]
-            assert sums[k].tobytes() == np.float64(p.dot(p)).tobytes(), (length, k)
+            assert sums[k].tobytes() == np.float64(rows[k].dot(rows[k])).tobytes(), (length, k)
 
 
 def test_gradient_eval_energy_consistency():

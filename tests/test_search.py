@@ -148,8 +148,11 @@ def test_global_search_timeout_inside_hop_batch(monkeypatch):
 
 
 def test_global_search_settles_only_the_members_it_reoptimizes(monkeypatch):
-    # at n = 14 the first hop batch hits at its second member, so the
+    # at n = 10 the first hop batch hits at its second member, so the
     # eighteen members after it are never settled
+    radius = load_best_known().radius_for(10)
+    *_, hops, position = eager_global_search(10, radius, Rng(1), 8)
+    assert (hops, position) == (1, 2)
     real = search.run_bounded
     settles = []
 
@@ -158,11 +161,10 @@ def test_global_search_settles_only_the_members_it_reoptimizes(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(search, "run_bounded", counted)
-    radius = load_best_known().radius_for(14)
-    report = global_search(14, radius, 600.0, Rng(0))
+    report = global_search(10, radius, 600.0, Rng(1))
     assert report.status is SolveStatus.FEASIBLE
     assert report.hops == 1
-    assert settles == [beta * radius for beta in shrink_factors()[:2]]
+    assert settles == [beta * radius for beta in shrink_factors()[:position]]
 
 
 def eager_global_search(n, radius, rng, max_restarts):
