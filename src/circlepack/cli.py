@@ -74,7 +74,7 @@ def _resolve_radius(args, n: int, bundled: bool = False) -> float:
     try:
         return _load_table(args.best_known).radius_for(n)
     except KeyError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(exc.args[0]) from None
 
 
 def _refuse_same_file(*paths: str | None) -> None:
@@ -225,7 +225,7 @@ def cmd_bench(args) -> int:
             for n in ns:
                 table.radius_for(n)
         except KeyError as exc:
-            raise UsageError(str(exc)) from None
+            raise UsageError(exc.args[0]) from None
         records = bench_mod.run_hits(
             ns,
             table,

@@ -219,12 +219,14 @@ class Depths(NamedTuple):
 # machine (numpy 2.4.6, one BLAS thread) over points sampled from
 # perfbench's hit-bestknown cells at n = 30, about 100 listed terms: a
 # one-point trial run as a one-row block costs 17.8 us against 9.7 us for
-# ``listed_depths``, and one-point calls are 29,925 of a round's 42,354
-# kernel calls. Scattering the gradient over every listed pair
-# instead of the active ones gives the same bits and is faster on local
-# lists (17.4 against 32.2 us), but in full mode at n = 200 it takes 278
-# against 95 us (205 of 19,900 pairs active), and a listed wall circle at
-# the origin with no active wall term would divide 0 by 0.
+# ``listed_depths``, and one-point calls are 28,220 of a round's 39,589
+# kernel calls. ``scatter_gradient`` scatters every listed term, which
+# gives the bits of scattering the active ones alone: on 3,971 points
+# recorded from three hit-bestknown cells it takes about 19 us against 30
+# us for compacting first, and 49 against 52 us on local lists at n = 400
+# (about 1,070 pairs, 180 active), while in full mode at n = 200 (5 of
+# 19,900 pairs active) it takes about 300 against 80 us, 3.1 against 2.8
+# ms per full-mode step.
 def depth_stage(
     centers: np.ndarray,
     radius: float,
@@ -275,57 +277,50 @@ def listed_depths(
     return Depths(*stage, total)
 
 
-def scatter_gradient(
-    depths: Depths,
-    pair_i: np.ndarray,
-    pair_j: np.ndarray,
-    container_ids: np.ndarray,
-    n: int,
-) -> np.ndarray | None:
-    """Analytic gradient of ``depths.total`` over n circles, shape (n, 2),
-    from the depths of these terms at one point (``listed_depths`` or the
-    trial kernel's accepted row); None when two centres of an overlapping
-    listed pair coincide, since the push direction between them is
-    undefined.
+def term_bins(
+    pair_i: np.ndarray, pair_j: np.ndarray, container_ids: np.ndarray, n: int
+) -> np.ndarray:
+    """The ``scatter_gradient`` bin of each listed term's x and y push.
 
-    The active terms are the nonzero depths. Each axis of the gradient is
-    one ``np.bincount`` per pair side over the active pairs, their
-    difference, and then one ``np.bincount`` of the active wall terms
-    added to it. Every bin receives its terms in listing order.
+    Three contiguous sections of bins over n circles, (3, n, 2) once
+    reshaped: the pair pushes by their j side, the same pushes by their
+    i side, then the wall pushes. The terms follow in the same order,
+    each as its x push then its y push.
     """
-    grad = np.zeros((n, 2))
-    # the size guards skip several numpy calls on an empty active list,
-    # which is the common case for the wall terms (and bincount of no
-    # terms comes back as integers)
-    active = depths.pair_depth.nonzero()[0]
-    if active.size:
-        dist = depths.dist.take(active)
-        # a coincident pair has depth 2, so the total is at least 8
-        if depths.total >= 8.0 and not dist.all():
-            return None
-        ii = pair_i.take(active)
-        jj = pair_j.take(active)
-        delta = depths.delta.take(active, axis=0)
-        # each pair appears twice in the energy, hence the factor 4
-        push = 4.0 * depths.pair_depth.take(active) / dist
-        for axis in (0, 1):
-            terms = push * delta[:, axis]
-            grad[:, axis] = np.bincount(jj, terms, minlength=n) - np.bincount(
-                ii, terms, minlength=n
-            )
-    active = depths.wall_depth.nonzero()[0]
-    if active.size:
-        ids = container_ids.take(active)
-        walls = depths.walls.take(active, axis=0)
-        # rad > 0 whenever the wall term is active, since radius > 0
-        push = 2.0 * depths.wall_depth.take(active) / depths.rad.take(active)
-        # a wall circle is listed once, so its bin holds 0.0 + its term; no
-        # entry of grad is -0.0 (bins start at +0.0 and x - x is +0.0), so
-        # adding that bin, or the +0.0 of a bin no wall term reaches, gives
-        # the bits of adding the term alone
-        for axis in (0, 1):
-            grad[:, axis] += np.bincount(ids, push * walls[:, axis], minlength=n)
-    return grad
+    circles = np.concatenate((pair_j, pair_i + n, container_ids + 2 * n))
+    return (2 * circles[:, None] + np.arange(2)).reshape(-1)
+
+
+def scatter_gradient(depths: Depths, bins: np.ndarray, n: int) -> np.ndarray | None:
+    """Analytic gradient of ``depths.total`` over n circles, shape (n, 2),
+    from the depths of the listed terms at one point (``listed_depths`` or
+    the trial kernel's accepted row), binned by ``term_bins``; None when
+    two centres of an overlapping listed pair coincide, since the push
+    direction between them is undefined.
+
+    Every listed term is scattered, zeros included, in one ``np.bincount``
+    over the three sections, and the gradient is (j side - i side) +
+    wall. Every bin receives its terms in listing order. A bin starts at
+    +0.0 and a sum from there is never -0.0, so the ±0.0 that an inactive
+    term adds changes no bin: the result has the bits of scattering the
+    active terms alone. That holds while every pair's centre difference
+    is finite, as it is for centres below 1e307 in magnitude.
+    """
+    # a coincident pair has depth 2, so the total is at least 8
+    if depths.total >= 8.0 and not depths.dist.all():
+        return None
+    if not bins.size:
+        # bincount of no terms comes back as integers
+        return np.zeros((n, 2))
+    # each pair appears twice in the energy, hence the factor 4
+    pair = (4.0 * depths.pair_depth / depths.dist)[:, None] * depths.delta
+    # a positive rad is its own floor at the smallest double, so only an
+    # inactive wall circle at the origin changes: it pushes 0, never 0/0
+    floor = np.maximum(depths.rad, math.ulp(0.0))
+    wall = (2.0 * depths.wall_depth / floor)[:, None] * depths.walls
+    terms = np.concatenate((pair, pair, wall)).reshape(-1)
+    sums = np.bincount(bins, terms, minlength=6 * n).reshape(3, n, 2)
+    return (sums[0] - sums[1]) + sums[2]
 
 
 def total_energy(layout: Layout) -> Energy:

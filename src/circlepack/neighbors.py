@@ -8,7 +8,7 @@ quadratic in n; the lists are rebuilt periodically by the optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .geometry import (
     depth_stage,
     listed_depths,
     scatter_gradient,
+    term_bins,
 )
 
 # Boundary-to-boundary distances at or below these count as adjacent.
@@ -39,17 +40,26 @@ _TRIAL_ELEMENTS = 4096
 
 @dataclass(frozen=True, eq=False)
 class NeighborIndex:
-    """Adjacency snapshot of a layout.
+    """Adjacency snapshot of a layout of ``n`` circles.
 
     ``pair_i``/``pair_j`` enumerate the listed unordered pairs (i < j,
     lexicographic); ``container_ids`` lists the circles with a wall term.
-    The pair relation is symmetric and self-free by construction. A rebuild
-    produces a new index; the optimizer counts the steps since then.
+    The pair relation is symmetric and self-free by construction.
+    ``bins`` holds the ``geometry.term_bins`` of the listed terms, so
+    every gradient on this index scatters without recomputing them. A
+    rebuild produces a new index; the optimizer counts the steps since
+    then.
     """
 
     pair_i: np.ndarray
     pair_j: np.ndarray
     container_ids: np.ndarray
+    n: int
+    bins: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        bins = term_bins(self.pair_i, self.pair_j, self.container_ids, self.n)
+        object.__setattr__(self, "bins", bins)
 
 
 def _build_index_raw(centers, radius, container_margin, pair_margin) -> NeighborIndex:
@@ -72,13 +82,13 @@ def _build_index_raw(centers, radius, container_margin, pair_margin) -> Neighbor
     keep = dist - 2.0 <= pair_margin
     rad = np.hypot(centers[:, 0], centers[:, 1])
     near_wall = rad + 1.0 - radius <= container_margin
-    return NeighborIndex(pair_i[keep], pair_j[keep], np.flatnonzero(near_wall))
+    return NeighborIndex(pair_i[keep], pair_j[keep], np.flatnonzero(near_wall), centers.shape[0])
 
 
 def full_index(n: int) -> NeighborIndex:
     """Index listing every pair and every container term (no restriction)."""
     pair_i, pair_j = all_pair_indices(n)
-    return NeighborIndex(pair_i, pair_j, np.arange(n))
+    return NeighborIndex(pair_i, pair_j, np.arange(n), n)
 
 
 def index_energy(
@@ -162,14 +172,15 @@ def gradient_eval(
     direction and the nudged copy is measured and returned, so callers can
     adopt it.
     """
-    pair_i, pair_j, container_ids = index.pair_i, index.pair_j, index.container_ids
     while True:
         if depths is None:
-            depths = listed_depths(centers, radius, pair_i, pair_j, container_ids)
-        grad = scatter_gradient(depths, pair_i, pair_j, container_ids, centers.shape[0])
+            depths = listed_depths(
+                centers, radius, index.pair_i, index.pair_j, index.container_ids
+            )
+        grad = scatter_gradient(depths, index.bins, index.n)
         if grad is not None:
             return depths, grad, centers
-        centers = _nudge_coincident(centers, depths.dist, pair_j, rng)
+        centers = _nudge_coincident(centers, depths.dist, index.pair_j, rng)
         depths = None
 
 

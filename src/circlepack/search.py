@@ -127,9 +127,13 @@ def global_search(
     order, first feasible wins. A member is settled only when the search
     reaches it; the report is that of ``basin_hop`` followed by the
     reoptimizations, bit for bit, unless a reoptimization nudges coincident
-    centers (its ``rng`` draw then comes before the next settle's). The
-    clock is checked before each restart and each hop member, so the run
-    can overshoot ``time_limit`` by at most one settle plus one descent.
+    centers (its ``rng`` draw then comes before the next settle's). A
+    member whose settled centers are bit-identical to those of an earlier
+    member of its batch is settled but not reoptimized when that earlier
+    reoptimization drew nothing from ``rng``: it would repeat that
+    infeasible result bit for bit. The clock is checked before each
+    restart and each hop member, so the run can overshoot ``time_limit``
+    by at most one settle plus one descent.
     Returns the feasible layout, or the lowest-energy layout seen with
     status TIMEOUT (clock expired) or STUCK (restart budget exhausted).
     """
@@ -173,11 +177,20 @@ def global_search(
             break
         hops += 1
         members = _hop_members(outcome.layout, rng)
+        # the centers of the members whose reoptimization drew nothing
+        # from rng: it depends on nothing else, and it was not feasible
+        repeats = set()
         while time.monotonic() < deadline:
             member = next(members, None)
             if member is None:
                 break
+            centers = member.centers.tobytes()
+            if centers in repeats:
+                continue
+            state = rng.bit_generator.state
             hopped = bfgs_minimize(member, radius=radius, rng=rng)
+            if rng.bit_generator.state == state:
+                repeats.add(centers)
             if hopped.energy.total < best_total:
                 best_layout, best_total = hopped.layout, hopped.energy.total
             if hopped.status is OptimizeStatus.FEASIBLE:

@@ -38,7 +38,7 @@ def build_index_by_all_pairs(centers, radius, container_margin, pair_margin):
     keep = dist - 2.0 <= pair_margin
     rad = np.hypot(centers[:, 0], centers[:, 1])
     near_wall = rad + 1.0 - radius <= container_margin
-    return NeighborIndex(pair_i[keep], pair_j[keep], np.flatnonzero(near_wall))
+    return NeighborIndex(pair_i[keep], pair_j[keep], np.flatnonzero(near_wall), centers.shape[0])
 
 
 def total_energy_by_all_pairs(layout):

@@ -190,6 +190,18 @@ def test_solve_missing_table_entry(table_csv):
     assert main(["solve", "--n", "99", "--best-known", table_csv]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [(["bench", "--n", "150"], 150), (["solve", "--n", "99", "--best-known", None], 99)],
+    ids=["bench-bundled", "solve-table"],
+)
+def test_missing_table_entry_message_is_unquoted(argv, n, table_csv, capsys):
+    # str() of a KeyError quotes its message; the error line does not
+    argv = [table_csv if arg is None else arg for arg in argv]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: no best-known radius for n={n}\n"
+
+
 def test_improve_reports_improvement(table_csv, tmp_path, capsys):
     out = tmp_path / "best.txt"
     code = main([

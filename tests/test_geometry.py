@@ -180,7 +180,7 @@ def test_listed_depths_empty_term_lists_are_positive_zero(
     pair_i, pair_j = all_pair_indices(n) if listed_pairs else (NO_TERMS, NO_TERMS)
     walls = np.arange(n) if listed_walls else NO_TERMS
     energy = listed_depths(centers, radius, pair_i, pair_j, walls).energy()
-    depths, grad, _ = gradient_eval(centers, radius, NeighborIndex(pair_i, pair_j, walls))
+    depths, grad, _ = gradient_eval(centers, radius, NeighborIndex(pair_i, pair_j, walls, n))
     assert energy == depths.energy() == Energy(0.0, 0.0, 0.0)
     for value in (energy.total, energy.max_pair_depth, energy.max_container_depth):
         assert math.copysign(1.0, value) == 1.0
@@ -227,7 +227,7 @@ def reference_gradient(centers, radius, pair_i, pair_j, container_ids):
     wall_share=st.sampled_from([0.0, 0.5, 1.0]),
     wall_slack=st.floats(-0.5, 3.0),
     coincide=st.booleans(),
-    touch=st.sampled_from(["none", "pair", "wall"]),
+    touch=st.sampled_from(["none", "pair", "wall", "origin"]),
 )
 # empty active sets: circles far apart, deep inside the wall
 @example(
@@ -258,6 +258,23 @@ def reference_gradient(centers, radius, pair_i, pair_j, container_ids):
     n=6, seed=5, density=0.5, pair_share=1.0, wall_share=1.0, wall_slack=-0.5, coincide=False,
     touch="wall",
 )
+# a listed wall circle exactly at the origin, deep inside the wall: its
+# push is 0 over a distance of 0, which must scatter as 0, not 0/0
+@example(
+    n=6, seed=6, density=0.5, pair_share=1.0, wall_share=1.0, wall_slack=-0.5, coincide=False,
+    touch="origin",
+)
+# every pair and wall term listed, as by full_index, at n = 80: most pairs
+# are far apart and inactive, so their zero pushes outnumber the active ones
+@example(
+    n=80, seed=7, density=0.7, pair_share=1.0, wall_share=1.0, wall_slack=0.0, coincide=False,
+    touch="none",
+)
+# no term listed at all, though the circles overlap and cross the wall
+@example(
+    n=8, seed=8, density=1.5, pair_share=0.0, wall_share=0.0, wall_slack=3.0, coincide=False,
+    touch="none",
+)
 def test_scatter_gradient_matches_four_bincount_reference(
     n, seed, density, pair_share, wall_share, wall_slack, coincide, touch
 ):
@@ -277,6 +294,8 @@ def test_scatter_gradient_matches_four_bincount_reference(
         centers[:2] = ((-1.0, 0.0), (1.0, 0.0))
     if touch == "wall" and radius >= 1.0:
         centers[0] = (0.0, radius - 1.0)
+    if touch == "origin" and radius >= 1.0:
+        centers[0] = (0.0, 0.0)
     pair_i, pair_j = all_pair_indices(n)
     keep = rng.random(pair_i.size) < pair_share
     pair_i, pair_j = pair_i[keep], pair_j[keep]
@@ -285,15 +304,16 @@ def test_scatter_gradient_matches_four_bincount_reference(
     depths = listed_depths(centers, radius, pair_i, pair_j, container_ids)
     if touch == "pair" and n >= 2:
         assert np.all(depths.pair_depth[(pair_i == 0) & (pair_j == 1)] == 0.0)
-    if touch == "wall" and radius >= 1.0:
+    if touch in ("wall", "origin") and radius >= 1.0:
         assert np.all(depths.wall_depth[container_ids == 0] == 0.0)
-    got = scatter_gradient(depths, pair_i, pair_j, container_ids, n)
+    if touch == "origin" and radius >= 1.0:
+        assert np.all(depths.rad[container_ids == 0] == 0.0)
+    index = NeighborIndex(pair_i, pair_j, container_ids, n)
+    got = scatter_gradient(depths, index.bins, n)
     if want is None:
         assert got is None
     else:
-        _, with_grad, _ = gradient_eval(
-            centers, radius, NeighborIndex(pair_i, pair_j, container_ids)
-        )
+        _, with_grad, _ = gradient_eval(centers, radius, index)
         assert got.shape == (n, 2)
         assert got.tobytes() == want.tobytes()
         assert with_grad.tobytes() == want.tobytes()

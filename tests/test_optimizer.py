@@ -362,7 +362,7 @@ def test_index_energy_block_depths_match_one_point_on_empty_gathers(empty, accep
         n, radius = 6, 2.0
         x = random_layout(n, 3.0, Rng(7)).coords()
         full = neighbors.full_index(n)
-        index = neighbors.NeighborIndex(full.pair_i, full.pair_j, np.array([], dtype=np.intp))
+        index = neighbors.NeighborIndex(full.pair_i, full.pair_j, np.array([], dtype=np.intp), n)
     d = 0.01 * np.random.default_rng(rows).uniform(-1.0, 1.0, size=x.size)
     steps = optimizer._STEPS[:rows]
     limits = np.where(np.arange(rows) == accept_row, math.inf, -1.0)

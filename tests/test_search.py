@@ -167,10 +167,12 @@ def test_global_search_settles_only_the_members_it_reoptimizes(monkeypatch):
     assert settles == [beta * radius for beta in shrink_factors()[:position]]
 
 
-def eager_global_search(n, radius, rng, max_restarts):
+def eager_global_search(n, radius, rng, max_restarts, batches=None):
     """The search with each hop batch settled in full before any member is
     reoptimized: ``basin_hop``, then the members in shrink order. Also
-    returns the 1-based position of the member that hit, if one did."""
+    returns the 1-based position of the member that hit, if one did. Given
+    a list as ``batches``, appends the centre bytes of each batch's
+    reoptimized members to it, one list per batch."""
     best_layout, best_total = None, math.inf
     restarts = hops = 0
     while restarts < max_restarts:
@@ -182,7 +184,10 @@ def eager_global_search(n, radius, rng, max_restarts):
             return SolveStatus.FEASIBLE, outcome.layout, restarts, hops, None
         batch = basin_hop(outcome.layout, rng=rng)
         hops += 1
+        reoptimized = [] if batches is None else batches
+        reoptimized.append([])
         for position, member in enumerate(batch.layouts, start=1):
+            reoptimized[-1].append(member.centers.tobytes())
             hopped = bfgs_minimize(member, radius=radius, rng=rng)
             if hopped.energy.total < best_total:
                 best_layout, best_total = hopped.layout, hopped.energy.total
@@ -192,30 +197,82 @@ def eager_global_search(n, radius, rng, max_restarts):
 
 
 @pytest.mark.parametrize(
-    "n, radius, seed, max_restarts, status, hit_member",
+    "n, radius, seed, max_restarts, status, hit_member, repeats",
     [
-        (12, None, 0, 8, SolveStatus.FEASIBLE, 15),
+        (12, None, 0, 8, SolveStatus.FEASIBLE, 15, 1),
         # seven unit circles need R >= 3, so both restarts and all forty
-        # hop members fail
-        (7, 2.99, 1, 2, SolveStatus.STUCK, None),
+        # hop members fail; 18 of the members repeat an earlier one
+        (7, 2.99, 1, 2, SolveStatus.STUCK, None, 18),
+        # cells of perfbench's hit-bestknown whose one hop batch settles
+        # five members bit-identical to an earlier member of the batch: at
+        # n = 26 the batch fails and the second restart hits
+        (26, None, 1, 8, SolveStatus.FEASIBLE, None, 5),
+        (30, None, 1, 8, SolveStatus.FEASIBLE, 17, 5),
     ],
-    ids=["hit-at-member-15", "stuck"],
+    ids=["hit-at-member-15", "stuck", "repeats-n26", "repeats-n30"],
 )
 def test_global_search_matches_eager_hop_batches(
-    n, radius, seed, max_restarts, status, hit_member
+    n, radius, seed, max_restarts, status, hit_member, repeats, monkeypatch
 ):
     if radius is None:
         radius = load_best_known().radius_for(n)
+    batches = []
     want_status, want_layout, want_restarts, want_hops, want_member = eager_global_search(
-        n, radius, Rng(seed), max_restarts
+        n, radius, Rng(seed), max_restarts, batches
     )
     assert (want_status, want_member) == (status, hit_member)
+    # no descent of these runs draws from rng, so every member bit-identical
+    # to an earlier one of its batch is one reoptimization fewer
+    assert sum(len(batch) - len(set(batch)) for batch in batches) == repeats
+    real = search.bfgs_minimize
+    reoptimized = []
+
+    def descend(layout, **kwargs):
+        if kwargs["radius"] is not None:
+            reoptimized.append(layout.centers.tobytes())
+        return real(layout, **kwargs)
+
+    monkeypatch.setattr(search, "bfgs_minimize", descend)
     got = global_search(n, radius, 600.0, Rng(seed), max_restarts=max_restarts)
+    assert reoptimized == [c for batch in batches for c in dict.fromkeys(batch)]
     assert got.status is want_status
     assert (got.restarts, got.hops, got.seed) == (want_restarts, want_hops, seed)
     assert got.radius == radius
     assert got.layout.radius == want_layout.radius
     assert got.layout.centers.tobytes() == want_layout.centers.tobytes()
+
+
+@pytest.mark.parametrize("draws", [False, True], ids=["first-draws-nothing", "first-draws"])
+def test_global_search_skips_a_twin_only_when_the_first_drew_nothing(monkeypatch, draws):
+    # members 1 and 2 of the one hop batch settle to twin layouts and every
+    # other member to a layout of its own; two unit circles cannot fit at
+    # R = 1.9, so no reoptimization ends feasible. The twin is skipped only
+    # when the first twin's reoptimization left rng where it was
+    settled = []
+
+    def settle(layout, radius, steps, rng=None):
+        settled.append(radius)
+        gap = 0.5 + 0.01 * max(len(settled), 2)
+        return Layout(np.array([[-gap, 0.0], [gap, 0.0]]), radius)
+
+    real = search.bfgs_minimize
+    reoptimized = []
+
+    def descend(layout, **kwargs):
+        if kwargs["radius"] is not None:
+            reoptimized.append(len(settled))
+            if draws:
+                kwargs["rng"].random()
+        return real(layout, **kwargs)
+
+    monkeypatch.setattr(search, "run_bounded", settle)
+    monkeypatch.setattr(search, "bfgs_minimize", descend)
+    report = global_search(2, 1.9, 600.0, Rng(1), max_restarts=1)
+    assert report.status is SolveStatus.STUCK
+    assert (report.restarts, report.hops) == (1, 1)
+    # every member is settled, the twin too
+    assert len(settled) == 20
+    assert reoptimized == [1, *range(2 if draws else 3, 21)]
 
 
 @pytest.mark.parametrize(
