@@ -101,8 +101,8 @@ def feed(digests, *items) -> None:
 
 
 def descend(digests, label, layout, mode, container_margin, pair_margin) -> None:
-    def record(state, rec):
-        feed(digests, state.iterate, rec.energy_before, rec.energy_after,
+    def record(rec):
+        feed(digests, rec.iterate, rec.energy_before, rec.energy_after,
              rec.step_length, rec.restarted, rec.index_age)
 
     outcome = bfgs_minimize(
@@ -126,7 +126,7 @@ def jammed_outcomes(digest) -> tuple[int, int]:
                 iterates = []
                 outcome = bfgs_minimize(
                     start, mode=mode, rng=Rng(0),
-                    callback=lambda state, rec: iterates.append(state.iterate.tobytes()),
+                    callback=lambda rec: iterates.append(rec.iterate.tobytes()),
                 )
                 feed((digest,), outcome.status.value, outcome.energy.total, outcome.layout.centers)
                 descents += 1

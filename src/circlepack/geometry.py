@@ -19,20 +19,18 @@ import numpy as np
 FEASIBLE_ENERGY = 1e-20
 
 
-class Rng:
+class Rng(np.random.Generator):
     """Seeded random source. Identical seeds yield identical draw sequences.
 
-    Thin wrapper around :class:`numpy.random.Generator` that remembers its
-    seed so solver reports can record it. One instance per solver run; never
-    share across runs.
+    The :class:`numpy.random.Generator` that ``np.random.default_rng(seed)``
+    builds, on a PCG64 stream, which also keeps its seed so solver reports
+    can record it. A negative seed raises ValueError. One instance per
+    solver run; never share across runs.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._generator = np.random.default_rng(self.seed)
-
-    def __getattr__(self, name):
-        return getattr(self._generator, name)
+        super().__init__(np.random.PCG64(self.seed))
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed})"

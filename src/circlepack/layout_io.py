@@ -204,10 +204,8 @@ def parse_document(text: str, origin: str = "<string>") -> LayoutDocument:
         try:
             value = float(header[key])
         except ValueError:
-            raise LayoutFormatError(
-                f"{origin}: bad {key} {header[key]!r}"
-            ) from None
-        if not math.isfinite(value) or (key == "radius" and value <= 0.0):
+            raise LayoutFormatError(f"{origin}: bad {key} {header[key]!r}") from None
+        if not (math.isfinite(value) and (value > 0.0 if key == "radius" else value >= 0.0)):
             raise LayoutFormatError(f"{origin}: bad {key} {header[key]!r}")
     if header["feasible"] not in ("true", "false"):
         raise LayoutFormatError(
@@ -281,12 +279,12 @@ class BestKnownTable:
         return sorted(self.entries.items())
 
 
-def _read_table(source, columns: tuple[str, ...]) -> dict[int, tuple[float, ...]]:
+def _read_table(source, columns: tuple[str, ...], fault=None) -> dict[int, tuple[float, ...]]:
     """Data rows of a CSV table headed ``columns``, keyed by their first field.
 
     The first field is a circle count n >= 1 that no other row repeats,
-    every other field a finite float; blank rows are skipped. Every error
-    names the offending line.
+    every other field a finite float, in which ``fault``, if given, finds
+    nothing wrong; blank rows are skipped. Every error names the line.
     """
     text, origin = _read_text(source)
     rows = list(csv.reader(text.splitlines()))
@@ -318,6 +316,8 @@ def _read_table(source, columns: tuple[str, ...]) -> dict[int, tuple[float, ...]
             if not math.isfinite(value):
                 raise LayoutFormatError(f"{where}: {name} must be finite, got {cell!r}")
             values.append(value)
+        if fault is not None and (problem := fault(*values)):
+            raise LayoutFormatError(f"{where}: {problem}")
         if n in entries:
             raise LayoutFormatError(f"{where}: duplicate n={n}")
         entries[n] = tuple(values)
@@ -351,7 +351,14 @@ class ImprovementRecord:
 
 
 def read_improvements(source) -> tuple[ImprovementRecord, ...]:
-    entries = _read_table(source, ("n", "old_radius", "new_radius", "magnitude"))
+    def fault(old_radius, new_radius, magnitude):
+        if not 1.0 <= new_radius < old_radius:
+            return f"new_radius must be >= 1 and below old_radius, got {new_radius}"
+        if not magnitude > 0.0:
+            return f"magnitude must be > 0, got {magnitude}"
+        return None
+
+    entries = _read_table(source, ("n", "old_radius", "new_radius", "magnitude"), fault)
     return tuple(ImprovementRecord(n, *values) for n, values in entries.items())
 
 

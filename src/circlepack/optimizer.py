@@ -69,8 +69,8 @@ _ARMIJO_STEPS = ARMIJO_SLOPE * _STEPS
 _ARMIJO_STEPS.setflags(write=False)
 
 # the inverse-Hessian update works on blocks of rows of about this many
-# elements, so its two scratch buffers (256 KiB each) stay in cache; any
-# matrix up to 181 x 181 is one block
+# elements, so its temporaries (256 KiB each) stay in cache; any matrix up
+# to 181 x 181 is one block
 _BLOCK_ELEMENTS = 32768
 
 # the dense inverse Hessian serves every size up to the paper's largest
@@ -101,26 +101,6 @@ class OptimizeStatus(enum.Enum):
     ITERATION_LIMIT = "iteration_limit"
 
 
-@dataclass
-class BfgsState:
-    """Mutable loop state: current iterate, gradient, inverse Hessian, count.
-
-    ``iterate`` and ``gradient`` are flat 2n vectors ordered (x1, y1, ...,
-    xn, yn). Up to ``DENSE_MAX_CIRCLES`` circles, ``inv_hessian`` is one
-    2n x 2n array for the whole run: every update and every steepest-descent
-    restart overwrites it in place, so a callback that keeps it sees it
-    change. It starts as the identity and stays exactly symmetric, since
-    each update maps a symmetric matrix to a symmetric one (see
-    ``update_inverse_hessian``). Above that size the run uses limited-memory
-    BFGS and ``inv_hessian`` is None. Confined to one solver run.
-    """
-
-    iterate: np.ndarray
-    gradient: np.ndarray
-    inv_hessian: np.ndarray | None
-    iteration: int = 0
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     """Per-step trace handed to the optimizer callback.
@@ -128,6 +108,11 @@ class IterationRecord:
     ``energy_before`` and ``energy_after`` are both measured with the index
     that was active during the step, so ``energy_after <= energy_before``
     holds for every accepted step even in local mode.
+
+    ``iterate`` and ``gradient`` are the flat 2n vectors (x1, y1, ..., xn,
+    yn) the step ended at; ``inv_hessian`` is the run's one exactly symmetric
+    2n x 2n array (None above ``DENSE_MAX_CIRCLES``), which later updates and
+    restarts overwrite in place, so a callback that keeps it sees it change.
     """
 
     iteration: int
@@ -137,6 +122,9 @@ class IterationRecord:
     step_length: float
     index_age: int
     restarted: bool
+    iterate: np.ndarray
+    gradient: np.ndarray
+    inv_hessian: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -252,8 +240,7 @@ def update_inverse_hessian(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.nd
     operands of a sum and of products, which commute exactly, so element
     (j, i) gets the same bits: the result is exactly symmetric without any
     averaging. Only the upper triangle is computed, a block of rows at a
-    time in two scratch buffers, and each block is mirrored below the
-    diagonal.
+    time, and each block is mirrored below the diagonal.
 
     The three outer products go through ``np.einsum``, which is faster
     than a broadcast multiply here. einsum adds each product to a zeroed
@@ -273,23 +260,19 @@ def update_inverse_hessian(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.nd
     hy = h @ y
     scale = rho * rho * float(np.dot(y, hy)) + rho
     m = h.shape[0]
-    rows = min(m, max(1, _BLOCK_ELEMENTS // m))
-    scratch = np.empty((2, rows * m))
+    rows = max(1, _BLOCK_ELEMENTS // m)
     for r0 in range(0, m, rows):
-        r1 = min(r0 + rows, m)
+        r1 = r0 + rows
         block = h[r0:r1, r0:]
-        a = scratch[0, : block.size].reshape(block.shape)
-        b = scratch[1, : block.size].reshape(block.shape)
-        np.einsum("i,j->ij", s[r0:r1], hy[r0:], out=a)
-        np.einsum("i,j->ij", hy[r0:r1], s[r0:], out=b)
-        np.add(a, b, out=a)
-        np.multiply(a, rho, out=a)
-        np.subtract(block, a, out=block)
+        a = np.einsum("i,j->ij", s[r0:r1], hy[r0:])
+        a += np.einsum("i,j->ij", hy[r0:r1], s[r0:])
+        a *= rho
+        block -= a
         np.einsum("i,j->ij", s[r0:r1], s[r0:], out=a)
-        np.multiply(a, scale, out=a)
-        np.add(block, a, out=block)
-        if r1 < m:
-            h[r1:, r0:r1] = h[r0:r1, r1:].T
+        a *= scale
+        block += a
+        # empty past the last block
+        h[r1:, r0:r1] = h[r0:r1, r1:].T
     return h
 
 
@@ -345,7 +328,7 @@ def bfgs_minimize(
     rng: Rng | None = None,
     container_margin: float = DEFAULT_CONTAINER_MARGIN,
     pair_margin: float = DEFAULT_PAIR_MARGIN,
-    callback: Callable[[BfgsState, IterationRecord], None] | None = None,
+    callback: Callable[[IterationRecord], None] | None = None,
 ) -> OptimizeOutcome:
     """Minimize the elastic energy of ``layout`` at a fixed container radius.
 
@@ -443,7 +426,7 @@ def bfgs_minimize(
     # the (s, y) pairs of limited-memory BFGS, None while H is dense
     memory = None if n <= DENSE_MAX_CIRCLES else []
     inv_hessian = np.eye(2 * n) if memory is None else None
-    state = BfgsState(iterate=x, gradient=g, inv_hessian=inv_hessian)
+    iteration = 0
     best_seen = total
     stall_anchor = 0
     # the halvings the last line search accepted at (0 after a failed one);
@@ -469,7 +452,7 @@ def bfgs_minimize(
             rebuild(x)
             total, x, g = evaluate(x)
             continue
-        if state.iteration >= max_iterations:
+        if iteration >= max_iterations:
             status = OptimizeStatus.ITERATION_LIMIT
             break
 
@@ -477,12 +460,12 @@ def bfgs_minimize(
         for restarted in (False, True):
             if restarted:
                 if memory is None:
-                    _reset_to_identity(state.inv_hessian)
+                    _reset_to_identity(inv_hessian)
                 else:
                     memory.clear()
                 direction = -g
             elif memory is None:
-                direction = -(state.inv_hessian @ g)
+                direction = -(inv_hessian @ g)
             else:
                 direction = -lbfgs_direction(g, memory)
             slope = float(np.dot(g, direction))
@@ -497,7 +480,7 @@ def bfgs_minimize(
         # the bits of the accepted trial point
         x_new = x + lam * direction
         step_index, step_age = index, age
-        state.iteration += 1
+        iteration += 1
         if not covers_all:
             age += 1
             if age >= REFRESH_PERIOD:
@@ -522,31 +505,32 @@ def bfgs_minimize(
             and np.float64(total).tobytes() == np.float64(energy_before).tobytes()
         )
         if memory is None:
-            state.inv_hessian = update_inverse_hessian(state.inv_hessian, x_new - x, g_new - g)
+            inv_hessian = update_inverse_hessian(inv_hessian, x_new - x, g_new - g)
         else:
             lbfgs_push(memory, x_new - x, g_new - g)
         x, g = x_new, g_new
-        state.iterate, state.gradient = x, g
         if callback is not None:
             callback(
-                state,
                 IterationRecord(
-                    iteration=state.iteration,
+                    iteration=iteration,
                     energy_before=energy_before,
                     energy_after=accepted,
                     gradient_norm=gnorm,
                     step_length=lam,
                     index_age=step_age,
                     restarted=restarted,
-                ),
+                    iterate=x,
+                    gradient=g,
+                    inv_hessian=inv_hessian,
+                )
             )
         if frozen:
             status = OptimizeStatus.ITERATION_LIMIT
             break
         if best_seen - total > STALL_RELATIVE_DROP * max(abs(total), 1e-300):
             best_seen = total
-            stall_anchor = state.iteration
-        elif state.iteration - stall_anchor >= STALL_WINDOW:
+            stall_anchor = iteration
+        elif iteration - stall_anchor >= STALL_WINDOW:
             status = OptimizeStatus.ITERATION_LIMIT
             break
 
@@ -555,7 +539,7 @@ def bfgs_minimize(
         layout=final_layout,
         energy=total_energy(final_layout) if exact is None else exact,
         status=status,
-        iterations=state.iteration,
+        iterations=iteration,
         evaluations=evaluations,
     )
 

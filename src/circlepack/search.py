@@ -52,19 +52,6 @@ class SolveStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class HopBatch:
-    """Twenty perturbed layouts derived from one stuck source layout.
-
-    The eager form of a hop: every member is settled, in shrink order.
-    Member m settled at, and carries, the radius ``shrink_factors()[m]``
-    times the source's; callers restore the search radius when they
-    reoptimize the members.
-    """
-
-    layouts: tuple[Layout, ...]
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Outcome of a search run.
 
@@ -86,6 +73,11 @@ class SolveReport:
         return self.layout.radius
 
 
+def _report(status, layout, start, restarts, hops, rng) -> SolveReport:
+    """A search's report, its time elapsed since ``start`` taken now."""
+    return SolveReport(status, layout, time.monotonic() - start, restarts, hops, rng.seed)
+
+
 def _hop_members(layout: Layout, rng: Rng) -> Iterator[Layout]:
     """Yield the hop members of ``layout`` in shrink order, each settled on demand.
 
@@ -99,7 +91,7 @@ def _hop_members(layout: Layout, rng: Rng) -> Iterator[Layout]:
         yield run_bounded(layout, beta * layout.radius, h, rng=rng)
 
 
-def basin_hop(layout: Layout, *, rng: Rng) -> HopBatch:
+def basin_hop(layout: Layout, *, rng: Rng) -> tuple[Layout, ...]:
     """Perturb a stuck layout by briefly optimizing in shrunken containers.
 
     For each shrink factor the container radius is scaled down, the source
@@ -107,10 +99,12 @@ def basin_hop(layout: Layout, *, rng: Rng) -> HopBatch:
     of iterations drawn from HOP_ITERATION_RANGE (inclusive). All twenty
     members start from the same source layout; crowding everything toward
     the center and letting it re-expand is what kicks the search out of the
-    current basin. This is the eager form: all twenty members are settled
-    before it returns.
+    current basin. This is the eager form: all twenty are settled, in
+    shrink order, before it returns. Member m settled at, and carries, the
+    radius ``shrink_factors()[m]`` times the source's; callers restore the
+    search radius when they reoptimize the members.
     """
-    return HopBatch(layouts=tuple(_hop_members(layout, rng)))
+    return tuple(_hop_members(layout, rng))
 
 
 def global_search(
@@ -153,16 +147,6 @@ def global_search(
     hops = 0
     status = SolveStatus.TIMEOUT
 
-    def report(status_, layout_):
-        return SolveReport(
-            status=status_,
-            layout=layout_,
-            elapsed=time.monotonic() - start,
-            restarts=restarts,
-            hops=hops,
-            seed=rng.seed,
-        )
-
     while time.monotonic() < deadline:
         if max_restarts is not None and restarts >= max_restarts:
             status = SolveStatus.STUCK
@@ -172,7 +156,7 @@ def global_search(
         if outcome.energy.total < best_total:
             best_layout, best_total = outcome.layout, outcome.energy.total
         if outcome.status is OptimizeStatus.FEASIBLE:
-            return report(SolveStatus.FEASIBLE, outcome.layout)
+            return _report(SolveStatus.FEASIBLE, outcome.layout, start, restarts, hops, rng)
         if time.monotonic() >= deadline:
             break
         hops += 1
@@ -194,10 +178,10 @@ def global_search(
             if hopped.energy.total < best_total:
                 best_layout, best_total = hopped.layout, hopped.energy.total
             if hopped.status is OptimizeStatus.FEASIBLE:
-                return report(SolveStatus.FEASIBLE, hopped.layout)
+                return _report(SolveStatus.FEASIBLE, hopped.layout, start, restarts, hops, rng)
     if best_layout is None:
         best_layout = random_layout(n, radius, rng)
-    return report(status, best_layout)
+    return _report(status, best_layout, start, restarts, hops, rng)
 
 
 @dataclass(frozen=True)
@@ -343,16 +327,6 @@ def minimize_radius(
     restarts = 0
     hops = 0
 
-    def report(status_, layout_):
-        return SolveReport(
-            status=status_,
-            layout=layout_,
-            elapsed=time.monotonic() - start,
-            restarts=restarts,
-            hops=hops,
-            seed=rng.seed,
-        )
-
     while True:
         budget = min(float(t0), deadline - time.monotonic())
         if budget <= 0.0:
@@ -372,7 +346,8 @@ def minimize_radius(
     # an adjustment never grows it, so the last adjustment is the best find;
     # without one every attempt failed and the last says how and with what
     if adjusted is not None:
-        return report(SolveStatus.FEASIBLE, adjusted.layout)
+        return _report(SolveStatus.FEASIBLE, adjusted.layout, start, restarts, hops, rng)
     if attempt is None:
-        return report(SolveStatus.TIMEOUT, random_layout(n, r_current, rng))
-    return report(attempt.status, attempt.layout)
+        layout = random_layout(n, r_current, rng)
+        return _report(SolveStatus.TIMEOUT, layout, start, restarts, hops, rng)
+    return _report(attempt.status, attempt.layout, start, restarts, hops, rng)

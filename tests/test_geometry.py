@@ -151,6 +151,22 @@ def test_random_layout_seed_reproducible():
     assert not np.array_equal(a.centers, c.centers)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**63])
+def test_rng_draws_the_default_rng_stream(seed):
+    rng, reference = Rng(seed), np.random.default_rng(seed)
+    assert rng.random(8).tobytes() == reference.random(8).tobytes()
+    assert rng.integers(50, 101) == reference.integers(50, 101)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.seed == seed
+    assert repr(rng) == f"Rng(seed={seed})"
+
+
+def test_rng_rejects_a_negative_seed():
+    # the layout reader and the CLI's seed rule rely on this
+    with pytest.raises(ValueError):
+        Rng(-1)
+
+
 def test_feasible_energy_threshold_constant():
     assert FEASIBLE_ENERGY == 1e-20
 

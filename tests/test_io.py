@@ -122,6 +122,8 @@ def test_recorded_energy_matches_recomputation():
         ("n=1\nradius=-1\nenergy=0.0\nfeasible=true\n0 0\n", "bad radius"),
         ("n=1\nradius=2.0\nenergy=nan\nfeasible=true\n0 0\n", "bad energy"),
         ("n=1\nradius=2.0\nenergy=-inf\nfeasible=true\n0 0\n", "bad energy"),
+        # an energy is a sum of squares
+        ("n=1\nradius=2.0\nenergy=-1.0\nfeasible=true\n0 0\n", "bad energy '-1.0'"),
         ("n=1\nradius=2.0\nenergy=0.0\nfeasible=true\nseed=x\n0 0\n", "bad seed"),
         # Rng takes no negative seed, so the run could not be reproduced
         ("n=1\nradius=2.0\nenergy=0.0\nfeasible=true\nseed=-5\n0 0\n", "bad seed '-5'"),
@@ -130,6 +132,11 @@ def test_recorded_energy_matches_recomputation():
 def test_parse_document_rejects_malformed(text, message):
     with pytest.raises(LayoutFormatError, match=message):
         parse_document(text)
+
+
+def test_parse_document_accepts_negative_zero_energy():
+    doc = parse_document("n=1\nradius=2.0\nenergy=-0.0\nfeasible=true\n0 0\n")
+    assert doc.energy == "-0.0"
 
 
 def test_read_layout_unreadable_path(tmp_path):
@@ -218,11 +225,18 @@ def test_bundled_best_known_table():
         ("0,12.602318936,12.601774612,1e-3", "line 3: n must be >= 1"),
         ("126,12.602318936,12.601774612,1e-3", "line 3: duplicate n=126"),
         ("130,12.602318936,12.601774612,1e-3,x", "line 3: expected 4 fields, got 5"),
+        ("130,12.601774612,12.601774612,1e-3", "line 3: new_radius must be >= 1 and below"),
+        ("130,1.5,0.5,1e-3", "line 3: new_radius must be >= 1 and below"),
+        ("130,12.602318936,12.601774612,0", "line 3: magnitude must be > 0"),
     ],
-    ids=["nan-radius", "inf-radius", "zero-n", "duplicate-n", "fifth-field"],
+    ids=[
+        "nan-radius", "inf-radius", "zero-n", "duplicate-n", "fifth-field",
+        "no-improvement", "new-radius-below-1", "zero-magnitude",
+    ],
 )
 def test_read_improvements_rejects_malformed_rows(row, message):
-    # the rows read_best_known rejects; they used to load
+    # the rows read_best_known rejects, and rows that improve nothing;
+    # they used to load
     text = f"n,old_radius,new_radius,magnitude\n126,12.417463955,12.417144417,1e-4\n{row}\n"
     with pytest.raises(LayoutFormatError, match=message):
         read_improvements(io.StringIO(text))

@@ -457,8 +457,9 @@ def update_by_allocating_formula(h, s, y):
     return (out + out.T) / 2.0
 
 
-@pytest.mark.parametrize("size", [6, 40, 88, 406, 800])
+@pytest.mark.parametrize("size", [6, 40, 88, 182, 406, 800])
 def test_update_inverse_hessian_chain_matches_allocating_formula(size):
+    # 182 rows are the first size with two blocks, the second of two rows;
     # 406 rows do not split into equal blocks, 800 do; every tenth pair
     # has negative curvature and must leave the matrix untouched. In the
     # second chain a third of the circles do not move in a step: their
@@ -544,7 +545,7 @@ def test_dense_update_up_to_paper_size_only(monkeypatch, n):
     hessians = []
     layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(n))
     outcome = bfgs_minimize(
-        layout, max_iterations=3, callback=lambda state, rec: hessians.append(state.inv_hessian)
+        layout, max_iterations=3, callback=lambda rec: hessians.append(rec.inv_hessian)
     )
     assert outcome.iterations == 3
     if n <= optimizer.DENSE_MAX_CIRCLES:
@@ -579,7 +580,7 @@ def test_lbfgs_restart_starts_from_empty_memory(monkeypatch):
     monkeypatch.setattr(optimizer, "line_search", search)
     restarts = []
     layout = random_layout(n, 1.0 + math.sqrt(n / 0.72), Rng(n))
-    bfgs_minimize(layout, max_iterations=8, callback=lambda state, rec: restarts.append(rec.restarted))
+    bfgs_minimize(layout, max_iterations=8, callback=lambda rec: restarts.append(rec.restarted))
     assert restarts == [False] * 4 + [True] + [False] * 3
     assert sizes == [0, 1, 2, 3, 4, 1, 2, 3]
 
@@ -592,7 +593,7 @@ def test_bfgs_trajectory_matches_allocating_update(monkeypatch):
         steps = []
         outcome = bfgs_minimize(
             layout, mode="local", rng=Rng(0),
-            callback=lambda state, rec: steps.append(state.iterate.tobytes()),
+            callback=lambda rec: steps.append(rec.iterate.tobytes()),
         )
         return outcome, steps
 
@@ -619,8 +620,8 @@ def test_search_with_restarts_matches_allocating_update(monkeypatch):
         steps = []
 
         def recorded(*args, **kwargs):
-            kwargs["callback"] = lambda state, rec: steps.append(
-                (rec.restarted, state.iterate.tobytes())
+            kwargs["callback"] = lambda rec: steps.append(
+                (rec.restarted, rec.iterate.tobytes())
             )
             return descend(*args, **kwargs)
 
@@ -639,15 +640,15 @@ def test_search_with_restarts_matches_allocating_update(monkeypatch):
     assert got_steps == want_steps
     assert got.status is want.status
     assert got.layout.centers.tobytes() == want.layout.centers.tobytes()
-    for a, b in zip(got_batch.layouts, want_batch.layouts):
+    for a, b in zip(got_batch, want_batch):
         assert a.centers.tobytes() == b.centers.tobytes()
 
 
 def descend_recorded(layout, **options):
     steps = []
 
-    def record(state, rec):
-        steps.append((state.iterate.tobytes(), rec.energy_after, rec.step_length, rec.restarted))
+    def record(rec):
+        steps.append((rec.iterate.tobytes(), rec.energy_after, rec.step_length, rec.restarted))
 
     outcome = bfgs_minimize(layout, callback=record, **options)
     return outcome, steps
@@ -790,26 +791,27 @@ def recompute_still_steps(monkeypatch, layout, descend):
     """Run ``descend(layout, callback)`` with a callback that recomputes
     every step whose iterate did not change (see ``recompute_step``), from
     the previous step's iterate and gradient and the inverse Hessian in
-    ``state`` (a step that stays put has s = 0, which the update skips),
-    on the index the step started on and the one it ended on. Asserts that
-    this gives the step's record and the bits of ``state``. Returns the
-    descent's outcome, the records of the recomputed steps, the number of
-    line searches the descent made and its last state and index."""
+    the step's record (a step that stays put has s = 0, which the update
+    skips), on the index the step started on and the one it ended on.
+    Asserts that this gives the step's record, iterate and gradient
+    included. Returns the descent's outcome, the records of the recomputed
+    steps, the number of line searches the descent made and its last
+    iterate, gradient, inverse Hessian and index."""
     radius = layout.radius
     builds = record_calls(monkeypatch, "_build_index_raw")
     searches = record_calls(monkeypatch, "line_search")
     previous = {}
     still = []
 
-    def check(state, rec):
-        x, g = state.iterate, state.gradient
+    def check(rec):
+        x, g = rec.iterate, rec.gradient
         new_builds = len(builds) - previous.get("builds", 0)
         index = builds[-1] if builds else neighbors.full_index(x.size // 2)
         if previous and x.tobytes() == previous["x"].tobytes():
             # only a step's own rebuild, after its search, changes the index
             assert new_builds == 0 or rec.index_age == optimizer.REFRESH_PERIOD - 1
             lam, value, point, grad = recompute_step(
-                previous["x"], previous["g"], state.inv_hessian, rec.energy_before,
+                previous["x"], previous["g"], rec.inv_hessian, rec.energy_before,
                 rec.restarted, previous["index"], index, radius,
             )
             assert same_bits(lam, rec.step_length)
@@ -817,7 +819,7 @@ def recompute_still_steps(monkeypatch, layout, descend):
             assert point.tobytes() == x.tobytes()
             assert grad.tobytes() == g.tobytes()
             still.append(rec)
-        previous.update(x=x.copy(), g=g.copy(), inv_hessian=state.inv_hessian.copy(),
+        previous.update(x=x.copy(), g=g.copy(), inv_hessian=rec.inv_hessian.copy(),
                         index=index, builds=len(builds))
 
     outcome = descend(layout, check)
@@ -870,7 +872,7 @@ def test_frozen_step_on_an_older_index_is_searched_again(monkeypatch):
     built = record_calls(monkeypatch, "_build_index_raw")
     ages = []
     outcome = bfgs_minimize(
-        jammed_12(), rng=Rng(0), callback=lambda state, rec: ages.append(rec.index_age)
+        jammed_12(), rng=Rng(0), callback=lambda rec: ages.append(rec.index_age)
     )
     assert outcome.iterations == 61
     assert ages[58:] == [8, 9, 0]
@@ -965,7 +967,7 @@ def rebuilding_steps(layout, **options):
     ``REFRESH_PERIOD`` accepted steps does)."""
     ages = []
     outcome = bfgs_minimize(
-        layout, callback=lambda state, rec: ages.append(rec.index_age), **options
+        layout, callback=lambda rec: ages.append(rec.index_age), **options
     )
     return outcome, ages.count(optimizer.REFRESH_PERIOD - 1)
 
@@ -1007,7 +1009,7 @@ def test_accepted_step_hands_over_the_kernel_depths(monkeypatch, mode):
     gradients = record_gradients(monkeypatch)
     steps = []
 
-    def record(state, rec):
+    def record(rec):
         # the last gradient_eval call is this step's, the last successful
         # search the one that accepted it
         accepted = [found for found in searches if found[0] > 0.0][-1][2]
@@ -1135,7 +1137,7 @@ def test_bfgs_iteration_limit():
 def test_bfgs_monotone_energy_per_step():
     layout = random_layout(18, 4.5, Rng(9))
     records = []
-    bfgs_minimize(layout, callback=lambda state, rec: records.append(rec))
+    bfgs_minimize(layout, callback=lambda rec: records.append(rec))
     assert records, "expected at least one iteration"
     for rec in records:
         # each accepted step cannot increase the energy under its own index
@@ -1145,7 +1147,7 @@ def test_bfgs_monotone_energy_per_step():
 
 def index_ages(layout, **options):
     ages = []
-    bfgs_minimize(layout, callback=lambda state, rec: ages.append(rec.index_age), **options)
+    bfgs_minimize(layout, callback=lambda rec: ages.append(rec.index_age), **options)
     return ages
 
 
@@ -1187,12 +1189,12 @@ def test_full_and_local_agree_with_infinite_margins():
         local_states = []
         bfgs_minimize(
             layout, mode="full", max_iterations=steps,
-            callback=lambda st, rec: full_states.append(st.iterate.tobytes()),
+            callback=lambda rec: full_states.append(rec.iterate.tobytes()),
         )
         bfgs_minimize(
             layout, mode="local", max_iterations=steps,
             container_margin=math.inf, pair_margin=math.inf,
-            callback=lambda st, rec: local_states.append(st.iterate.tobytes()),
+            callback=lambda rec: local_states.append(rec.iterate.tobytes()),
         )
         assert len(full_states) == steps
         assert full_states == local_states

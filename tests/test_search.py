@@ -39,9 +39,9 @@ def test_shrink_factors_schedule():
 def test_basin_hop_batch_shape():
     source = random_layout(10, 4.0, Rng(3))
     batch = basin_hop(source, rng=Rng(5))
-    assert len(batch.layouts) == 20
-    assert [m.radius for m in batch.layouts] == [beta * 4.0 for beta in shrink_factors()]
-    for member in batch.layouts:
+    assert len(batch) == 20
+    assert [m.radius for m in batch] == [beta * 4.0 for beta in shrink_factors()]
+    for member in batch:
         # members are optimized inside the shrunken container but keep
         # that shrunken radius so callers can rescale as they wish
         assert member.n == 10
@@ -51,7 +51,7 @@ def test_basin_hop_seed_reproducible():
     source = random_layout(8, 3.5, Rng(1))
     a = basin_hop(source, rng=Rng(7))
     b = basin_hop(source, rng=Rng(7))
-    for la, lb in zip(a.layouts, b.layouts):
+    for la, lb in zip(a, b):
         assert np.array_equal(la.centers, lb.centers)
         assert la.radius == lb.radius
 
@@ -64,7 +64,7 @@ def test_basin_hop_settles_through_run_bounded(monkeypatch):
 
     monkeypatch.setattr(search, "bfgs_minimize", forbidden)
     batch = basin_hop(random_layout(8, 2.6, Rng(5)), rng=Rng(41))
-    assert len(batch.layouts) == 20
+    assert len(batch) == 20
 
 
 @pytest.mark.parametrize(
@@ -186,7 +186,7 @@ def eager_global_search(n, radius, rng, max_restarts, batches=None):
         hops += 1
         reoptimized = [] if batches is None else batches
         reoptimized.append([])
-        for position, member in enumerate(batch.layouts, start=1):
+        for position, member in enumerate(batch, start=1):
             reoptimized[-1].append(member.centers.tobytes())
             hopped = bfgs_minimize(member, radius=radius, rng=rng)
             if hopped.energy.total < best_total:
