@@ -18,10 +18,9 @@ the first reaching down to the depth the previous search accepted at
 overlap depths: ``gradient_eval``, the one place a descent gets a gradient,
 scatters the gradient at the new iterate from them instead of gathering
 and measuring the point again (see ``bfgs_minimize``). A jammed descent
-ends in steps too short to move any coordinate; once one such step leaves
-the iterate, gradient and energy bit for bit where they were on an index
-built at that iterate, every later step would repeat it, so the descent
-ends there.
+ends in steps too short to move any coordinate; every later step on the
+same index would repeat such a step, so the descent ends there on a fresh
+index and rebuilds an older one at once.
 """
 
 from __future__ import annotations
@@ -366,11 +365,11 @@ def bfgs_minimize(
     nudges coincident centres.
 
     A step that was no steepest-descent restart, ended on the index it
-    started on, built at its iterate (or covering every term), and left
-    the iterate, gradient and energy bit for bit unchanged would be
-    repeated by every later step. So it ends the run after its callback
+    started on and left the iterate, gradient and energy bit for bit
+    unchanged would be repeated by every later step on that index. Like a
+    small gradient, it ends the run after its callback on a fresh index,
     with ITERATION_LIMIT, the layout and status the stall window or the
-    budget would end it with.
+    budget would end it with; a stale index is rebuilt at the iterate.
 
     Up to ``DENSE_MAX_CIRCLES`` circles the search direction comes from a
     dense inverse Hessian, above it from limited-memory BFGS; a
@@ -383,8 +382,8 @@ def bfgs_minimize(
         raise ValueError(f"container_margin must be >= 0, got {container_margin}")
     if not pair_margin >= 0.0:
         raise ValueError(f"pair_margin must be >= 0, got {pair_margin}")
-    if not max_iterations >= 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    if not (max_iterations >= 1 and max_iterations % 1 == 0):
+        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations}")
     r = layout.radius if radius is None else float(radius)
     if not math.isfinite(r) or r <= 0.0:
         raise ValueError(f"container radius must be positive and finite, got {r}")
@@ -393,15 +392,12 @@ def bfgs_minimize(
     # with both margins infinite the index lists every term and never ages
     covers_all = mode == "full" or (math.isinf(container_margin) and math.isinf(pair_margin))
     evaluations = 0
-    # accepted steps since the index was built, and the bits of the iterate
-    # it was built at
+    # accepted steps since the index was built
     age = 0
-    built_at = None
 
     def rebuild(vec):
-        nonlocal index, age, built_at
-        index = _build_index_raw(vec.reshape(n, 2), r, container_margin, pair_margin)
-        age, built_at = 0, vec.tobytes()
+        nonlocal index, age
+        index, age = _build_index_raw(vec.reshape(n, 2), r, container_margin, pair_margin), 0
 
     def evaluate(vec, depths=None):
         nonlocal evaluations
@@ -493,13 +489,11 @@ def bfgs_minimize(
         total, x_new, g_new = evaluate(x_new, depths)
         # free the trial block behind the depths before the next step's
         depths = None
-        # the index is a pure function of the iterate it was built at, so
-        # when it was built at x, every input of the next step is this
-        # step's (both updates skip a zero step) and it would repeat it
+        # every input of the next step on this index is this step's (both
+        # updates skip a zero step), so it would repeat it
         frozen = (
             not restarted
             and index is step_index
-            and (covers_all or built_at == x.tobytes())
             and x_new.tobytes() == x.tobytes()
             and g_new.tobytes() == g.tobytes()
             and np.float64(total).tobytes() == np.float64(energy_before).tobytes()
@@ -525,8 +519,12 @@ def bfgs_minimize(
                 )
             )
         if frozen:
-            status = OptimizeStatus.ITERATION_LIMIT
-            break
+            if step_age == 0:
+                status = OptimizeStatus.ITERATION_LIMIT
+                break
+            rebuild(x)
+            total, x, g = evaluate(x)
+            continue
         if best_seen - total > STALL_RELATIVE_DROP * max(abs(total), 1e-300):
             best_seen = total
             stall_anchor = iteration

@@ -138,6 +138,8 @@ def global_search(
         raise ValueError(f"search radius must be finite and >= 1, got {radius}")
     if not time_limit > 0.0:
         raise ValueError(f"time limit must be positive, got {time_limit}")
+    if max_restarts is not None and not (max_restarts >= 1 and max_restarts % 1 == 0):
+        raise ValueError(f"max_restarts must be None or an integer >= 1, got {max_restarts}")
     start = time.monotonic()
     deadline = start + float(time_limit)
 

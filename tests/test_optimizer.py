@@ -747,10 +747,10 @@ def test_deep_start_changes_only_the_kernel_calls(monkeypatch):
 def jammed_12():
     # at the best-known radius of n = 12, Rng(0) jams: from step 59 on in
     # local mode and from step 83 on in full mode no step moves the
-    # iterate. Full mode ends the run there; local mode searches on until
-    # its rebuild at step 60 builds an index at that iterate, and step 61
-    # ends it. Run to the stall window instead, each mode ends at step 149
-    # with the layout and energy below
+    # iterate. Full mode ends the run there. Local mode's step 59 is on an
+    # index built at step 50, which it rebuilds at once, at the frozen
+    # iterate, and step 60 ends the run. Run to the stall window instead,
+    # each mode ends at step 149 with the layout and energy below
     return random_layout(12, cp.load_best_known().radius_for(12), Rng(0))
 
 
@@ -790,29 +790,49 @@ def recompute_step(x0, g0, inv_hessian, energy, restarted, start_index, end_inde
 def recompute_still_steps(monkeypatch, layout, descend):
     """Run ``descend(layout, callback)`` with a callback that recomputes
     every step whose iterate did not change (see ``recompute_step``), from
-    the previous step's iterate and gradient and the inverse Hessian in
-    the step's record (a step that stays put has s = 0, which the update
-    skips), on the index the step started on and the one it ended on.
-    Asserts that this gives the step's record, iterate and gradient
-    included. Returns the descent's outcome, the records of the recomputed
-    steps, the number of line searches the descent made and its last
-    iterate, gradient, inverse Hessian and index."""
-    radius = layout.radius
+    the previous step's iterate and the inverse Hessian in the step's
+    record (a step that stays put has s = 0, which the update skips), on
+    the index the step started on, the last one built before its line
+    search, and the one it ended on. A step on an index built since the
+    previous step ended starts from the gradient on that index, else from
+    the previous step's. Asserts that this gives the step's record,
+    iterate and gradient included. Returns the descent's outcome, the
+    records of the recomputed steps, the number of line searches the
+    descent made and its last iterate, gradient, inverse Hessian and
+    index."""
+    radius, n = layout.radius, layout.n
     builds = record_calls(monkeypatch, "_build_index_raw")
-    searches = record_calls(monkeypatch, "line_search")
+    # per line search, the number of indexes built before it
+    searched_after = []
+    search = optimizer.line_search
+
+    def counted_search(*args):
+        searched_after.append(len(builds))
+        return search(*args)
+
+    monkeypatch.setattr(optimizer, "line_search", counted_search)
+    full = neighbors.full_index(n)
     previous = {}
     still = []
 
+    def index_of(count):
+        return builds[count - 1] if count else full
+
     def check(rec):
         x, g = rec.iterate, rec.gradient
-        new_builds = len(builds) - previous.get("builds", 0)
-        index = builds[-1] if builds else neighbors.full_index(x.size // 2)
+        start, end = searched_after[-1], len(builds)
+        # only a step's own refresh rebuild comes after its search
+        assert end == start or rec.index_age == optimizer.REFRESH_PERIOD - 1
         if previous and x.tobytes() == previous["x"].tobytes():
-            # only a step's own rebuild, after its search, changes the index
-            assert new_builds == 0 or rec.index_age == optimizer.REFRESH_PERIOD - 1
+            x0, g0 = previous["x"], previous["g"]
+            if start != previous["end"]:
+                _, g0, _ = neighbors.gradient_eval(
+                    x0.reshape(n, 2), radius, index_of(start), None, None
+                )
+                g0 = g0.reshape(-1)
             lam, value, point, grad = recompute_step(
-                previous["x"], previous["g"], rec.inv_hessian, rec.energy_before,
-                rec.restarted, previous["index"], index, radius,
+                x0, g0, rec.inv_hessian, rec.energy_before, rec.restarted,
+                index_of(start), index_of(end), radius,
             )
             assert same_bits(lam, rec.step_length)
             assert same_bits(value, rec.energy_after)
@@ -820,10 +840,10 @@ def recompute_still_steps(monkeypatch, layout, descend):
             assert grad.tobytes() == g.tobytes()
             still.append(rec)
         previous.update(x=x.copy(), g=g.copy(), inv_hessian=rec.inv_hessian.copy(),
-                        index=index, builds=len(builds))
+                        index=index_of(end), end=end)
 
     outcome = descend(layout, check)
-    return outcome, still, len(searches), previous
+    return outcome, still, len(searched_after), previous
 
 
 def assert_jammed_12_layout(outcome, mode):
@@ -835,9 +855,10 @@ def assert_jammed_12_layout(outcome, mode):
 
 @pytest.mark.parametrize("mode", ["local", "full"])
 def test_frozen_step_ends_the_descent(monkeypatch, mode):
-    # the first still step on an index built at its iterate ends the run
-    # with the layout and energy of the run to the stall window
-    first, steps = {"local": (59, 61), "full": (83, 83)}[mode]
+    # the first still step on a fresh index ends the run with the layout
+    # and energy of the run to the stall window; local mode's still step
+    # 59, on an older index, rebuilds it first
+    first, steps, ages = {"local": (59, 60, [8, 0]), "full": (83, 83, [0])}[mode]
     outcome, still, searches, last = recompute_still_steps(
         monkeypatch, jammed_12(),
         lambda layout, callback: bfgs_minimize(layout, mode=mode, rng=Rng(0), callback=callback),
@@ -845,6 +866,7 @@ def test_frozen_step_ends_the_descent(monkeypatch, mode):
     assert_jammed_12_layout(outcome, mode)
     assert outcome.iterations == steps
     assert [rec.iteration for rec in still] == list(range(first, steps + 1))
+    assert [rec.index_age for rec in still] == ages
     assert not any(rec.restarted for rec in still)
     # every step searches
     assert searches == outcome.iterations
@@ -865,19 +887,21 @@ def test_frozen_step_ends_the_descent(monkeypatch, mode):
     assert grad.tobytes() == last["g"].tobytes()
 
 
-def test_frozen_step_on_an_older_index_is_searched_again(monkeypatch):
-    # local mode's index at step 59 was built at step 50's iterate, so the
-    # still steps 59 and 60 search again; the rebuild at step 60 builds, at
-    # the frozen iterate, and the step after it ends the run
+def test_frozen_step_on_an_older_index_rebuilds_at_once(monkeypatch):
+    # local mode's index at step 59 was built at step 50's iterate, so
+    # still step 59 rebuilds it at once, at the frozen iterate, as a small
+    # gradient would; step 60, the first on the new index, stays put too
+    # and ends the run
     built = record_calls(monkeypatch, "_build_index_raw")
-    ages = []
+    steps = []
     outcome = bfgs_minimize(
-        jammed_12(), rng=Rng(0), callback=lambda rec: ages.append(rec.index_age)
+        jammed_12(), rng=Rng(0), callback=lambda rec: steps.append((rec.index_age, len(built)))
     )
-    assert outcome.iterations == 61
-    assert ages[58:] == [8, 9, 0]
-    # the first build and one per refresh period: every rebuild builds
-    assert len(built) == 1 + outcome.iterations // optimizer.REFRESH_PERIOD
+    assert outcome.iterations == 60
+    # (index age, indexes built so far) at steps 58, 59 and 60
+    assert steps[57:] == [(7, 6), (8, 6), (0, 7)]
+    # the first build, one per refresh period and one after step 59
+    assert len(built) == 1 + 59 // optimizer.REFRESH_PERIOD + 1
 
 
 def test_frozen_settle_ends_before_its_cap(monkeypatch):
@@ -887,22 +911,24 @@ def test_frozen_settle_ends_before_its_cap(monkeypatch):
     layout = jammed_12()
     settled = run_bounded(layout, layout.radius, 120, Rng(0))
     assert_jammed_12_layout(outcomes[0], "local")
-    assert outcomes[0].iterations == 61
+    assert outcomes[0].iterations == 60
     assert settled.centers.tobytes() == outcomes[0].layout.centers.tobytes()
 
 
 def test_restarted_still_step_does_not_end_the_descent(monkeypatch):
-    # at the best-known radius of n = 9, Rng(0) jams from step 77 on, and
-    # step 81, the first still step on an index built at its iterate,
-    # ends the run. Its quasi-Newton search is made to fail, and the
-    # steepest-descent restart stays put too; a restart resets the inverse
-    # Hessian, so it does not end the run, and the step after it does
+    # at the best-known radius of n = 9, Rng(0) jams from step 72 on: still
+    # step 72, on an index of age 1, rebuilds it, and step 73, the first
+    # still step on a fresh index, ends the run. Its quasi-Newton search is
+    # made to fail, and the steepest-descent restart stays put too; a
+    # restart resets the inverse Hessian, so it does not end the run. Step
+    # 74 is on the index the restart aged, which it rebuilds, and step 75
+    # ends the run
     searches = 0
 
     def search(eval_fn, x, d, u0, slope, depth):
         nonlocal searches
         searches += 1
-        if searches == 81:
+        if searches == 73:
             return 0.0, u0, None, 0
         return line_search(eval_fn, x, d, u0, slope, depth)
 
@@ -912,10 +938,52 @@ def test_restarted_still_step_does_not_end_the_descent(monkeypatch):
         monkeypatch, layout,
         lambda layout, callback: bfgs_minimize(layout, rng=Rng(0), callback=callback),
     )
-    assert [(rec.iteration, rec.restarted, rec.index_age) for rec in still[-2:]] == [
-        (81, True, 0), (82, False, 1)
+    assert [(rec.iteration, rec.restarted, rec.index_age) for rec in still] == [
+        (72, False, 1), (73, True, 0), (74, False, 1), (75, False, 0)
     ]
-    assert (outcome.status, outcome.iterations) == (OptimizeStatus.ITERATION_LIMIT, 82)
+    assert (outcome.status, outcome.iterations) == (OptimizeStatus.ITERATION_LIMIT, 75)
+
+
+@pytest.mark.parametrize("mode", ["local", "full"])
+def test_still_steps_of_jammed_descents_rebuild_or_end(monkeypatch, mode):
+    # random starts at the best-known radius of n = 8..16 jam (the set of
+    # the trajectory fingerprint's outcome hash). A still step on an older
+    # index rebuilds it, so the next step starts on a fresh one; a descent
+    # that ends on a still step ends on a fresh index, where one more step
+    # stays put
+    table = cp.load_best_known()
+    rebuilt = ended_still = 0
+    for n in range(8, 17):
+        for seed in (0, 1):
+            records = []
+
+            def descend(layout, check):
+                def callback(rec):
+                    check(rec)
+                    records.append(rec)
+
+                return bfgs_minimize(layout, mode=mode, rng=Rng(0), callback=callback)
+
+            with monkeypatch.context() as patch:
+                layout = random_layout(n, table.radius_for(n), Rng(seed))
+                outcome, still, _, last = recompute_still_steps(patch, layout, descend)
+            for rec in still:
+                if not rec.restarted and rec.index_age > 0:
+                    # records[i - 1] is step i's
+                    assert records[rec.iteration].index_age == 0
+                    rebuilt += 1
+            if still and still[-1].iteration == outcome.iterations:
+                assert still[-1].index_age == 0
+                x, index = last["x"], last["index"]
+                _, _, point, grad = recompute_step(
+                    x, last["g"], last["inv_hessian"], records[-1].energy_before, False,
+                    index, index, layout.radius,
+                )
+                assert point.tobytes() == x.tobytes()
+                assert grad.tobytes() == last["g"].tobytes()
+                ended_still += 1
+    assert ended_still > 0
+    assert rebuilt > 0 or mode == "full"
 
 
 def record_calls(monkeypatch, name, module=optimizer):
@@ -1224,15 +1292,17 @@ def test_bfgs_rejects_unknown_mode():
         {"container_margin": math.nan},
         {"pair_margin": math.nan},
         {"max_iterations": math.nan},
+        {"max_iterations": 2.5},
     ],
     ids=[
         "negative-container", "negative-pair", "nan-container", "nan-pair",
-        "nan-iterations",
+        "nan-iterations", "fractional-iterations",
     ],
 )
 def test_bfgs_rejects_bad_margins(setting):
     # a negative or NaN margin lists too few terms (NaN lists none), so the
-    # descent would stop early and report a false GRADIENT_CONVERGED
+    # descent would stop early and report a false GRADIENT_CONVERGED; a
+    # fractional budget used to run one step past it
     layout = random_layout(20, 4.5, Rng(1))
     with pytest.raises(ValueError):
         bfgs_minimize(layout, **setting)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from circlepack import search
+from circlepack.bench import run_hits
 from circlepack.geometry import (
     FEASIBLE_ENERGY,
     Layout,
@@ -285,6 +286,19 @@ def test_global_search_rejects_bad_arguments(radius, time_limit):
     # later, inside random_layout, and a NaN time limit never expired
     with pytest.raises(ValueError, match="radius must|time limit must"):
         global_search(2, radius, time_limit, rng=Rng(0))
+
+
+@pytest.mark.parametrize("budget", [math.nan, 0, -3, 2.5, math.inf])
+def test_global_search_rejects_bad_restart_budgets(budget):
+    # the CLI's --max-restarts rule: None or an integer >= 1. A NaN budget
+    # used to be ignored and one below 1 returned STUCK with a random layout
+    with pytest.raises(ValueError, match="max_restarts"):
+        global_search(2, 1.9, 10.0, rng=Rng(0), max_restarts=budget)
+    # minimize_radius and run_hits reach the check through global_search
+    with pytest.raises(ValueError, match="max_restarts"):
+        minimize_radius(2, 1.9, t0=10.0, t1=10.0, rng=Rng(0), max_restarts=budget)
+    with pytest.raises(ValueError, match="max_restarts"):
+        run_hits([2], load_best_known(), reps=1, time_limit=10.0, max_restarts=budget)
 
 
 def test_container_adjust_requires_feasible_input():
